@@ -51,7 +51,7 @@ import urllib.error
 import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from repro.experiments.backends import AUTH_TOKEN_ENV, WIRE_CHOICES, WorkServer
+from repro.experiments.backends import AUTH_TOKEN_ENV, WorkServer
 from repro.experiments.scheduler import JobScheduler, JobSpecError
 
 __all__ = [
@@ -82,7 +82,6 @@ class CampaignService:
         auth_token: str | None = None,
         workers_expected: int = 0,
         heartbeat_timeout: float | None = None,
-        wire: str = "v1",
         status_port: int | None = None,
         max_concurrent: int = 4,
         worker_linger: float = 5.0,
@@ -101,7 +100,6 @@ class CampaignService:
                 if heartbeat_timeout is None
                 else heartbeat_timeout
             ),
-            wire=wire,
             status_port=status_port,
             worker_linger=worker_linger,
         )
@@ -351,12 +349,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
         help="silence deadline before a worker's chunk is requeued",
     )
     parser.add_argument(
-        "--wire",
-        choices=sorted(WIRE_CHOICES),
-        default="v1",
-        help="fleet frame codec (default: v1)",
-    )
-    parser.add_argument(
         "--status-port",
         type=int,
         default=None,
@@ -396,7 +388,6 @@ def serve_main(argv: list[str] | None = None) -> int:
         auth_token=token,
         workers_expected=args.workers_expected,
         heartbeat_timeout=args.heartbeat_timeout,
-        wire=args.wire,
         status_port=args.status_port,
         max_concurrent=args.max_concurrent,
     )
@@ -422,13 +413,15 @@ def serve_main(argv: list[str] | None = None) -> int:
     )
     if service.fleet.status_address is not None:
         line += f" · status {service.fleet.status_address[0]}:{service.fleet.status_address[1]}"
-    print(line, flush=True)
+    # Report recovery before declaring readiness: a client that waits
+    # for the readiness line must already see which jobs were healed.
     if service.healed_jobs:
         print(
             f"repro serve: healed {len(service.healed_jobs)} interrupted "
             f"job(s): {', '.join(service.healed_jobs)}",
             flush=True,
         )
+    print(line, flush=True)
     try:
         while not stop.is_set():
             stop.wait(0.2)

@@ -1,8 +1,8 @@
 """Fault-injection harness for the socket backend's transport layer.
 
-:class:`ChaosProxy` sits between workers and a :class:`SocketBackend`
-server as a frame-aware TCP proxy and injects the faults a long
-campaign on a real fleet actually sees:
+:class:`ChaosProxy` sits between workers and a work server as a
+frame-aware TCP proxy and injects the faults a long campaign on a real
+fleet actually sees:
 
 * **corrupt** — flip one byte inside a frame's body (the MAC fails on
   the far side; per-frame recovery via ``badframe``/``nack`` resends);
@@ -18,8 +18,8 @@ reproducible.  The proxy parses ``repro-wire-v1`` preambles to find
 frame boundaries, which also makes it the wire-format auditor: any
 connection whose bytes do not start with the ``RPW1`` magic is recorded
 in :attr:`ChaosProxy.violations` (and pumped through blind) — the chaos
-suite asserts ``violations == 0`` to prove no pickle frame ever touches
-the wire under ``--wire v1``.
+suite asserts ``violations == 0`` to prove every byte on the wire was a
+``repro-wire-v1`` frame.
 
 The first ``handshake_grace`` frames of each direction of a connection
 are exempt from faults: dropping a ``hello`` or ``welcome`` leaves both
@@ -33,8 +33,8 @@ late-join support, so chaos tests cover process death, not just wire
 noise.
 
 The proxy speaks plain frames, so it fronts any ``repro-wire-v1``
-listener — the per-map :class:`SocketBackend` *or* the campaign
-daemon's persistent ``WorkServer``.  For daemon crash drills,
+listener — the per-map ``WorkServer`` of a :class:`SocketBackend` *or*
+the campaign daemon's persistent one.  For daemon crash drills,
 :meth:`ChaosProxy.retarget` repoints new connections at a restarted
 daemon's fresh ephemeral work port while the proxy's own front address
 stays fixed, so lingering workers reconnect straight through the
@@ -100,8 +100,7 @@ class ChaosProxy:
     """Frame-aware fault-injecting TCP proxy in front of a backend server.
 
     Args:
-        upstream: ``(host, port)`` of the real :class:`SocketBackend`
-            listener.
+        upstream: ``(host, port)`` of the real work server's listener.
         plan: the :class:`FaultPlan` to apply to every proxied frame.
 
     Start with :meth:`start` (returns the proxy's own ``(host, port)``
@@ -206,7 +205,12 @@ class ChaosProxy:
         return b"".join(chunks)
 
     def _pump(self, source: socket.socket, sink: socket.socket, tag: str) -> None:
-        """Forward frames from ``source`` to ``sink``, injecting faults."""
+        """Forward frames from ``source`` to ``sink``, injecting faults.
+
+        Each connection has two pumps, and whichever ends first closes
+        both sockets; the other then sees ``OSError`` on the torn pair,
+        which simply means end-of-connection.
+        """
         seen = 0
         try:
             while not self._stopping.is_set():
@@ -241,6 +245,8 @@ class ChaosProxy:
                     self.stats.frames += 1
                 if not self._deliver(sink, frame, seen):
                     break
+        except OSError:
+            pass
         finally:
             for sock in (source, sink):
                 try:
@@ -326,7 +332,6 @@ class WorkerFleet:
         linger: seconds each worker retries the address after a torn
             session — chaos workers must reconnect through faults.
         auth_token: shared secret forwarded via the environment.
-        wire: frame codec the workers speak (must match the server).
     """
 
     def __init__(
@@ -334,12 +339,10 @@ class WorkerFleet:
         address: str,
         linger: float = 30.0,
         auth_token: str | None = None,
-        wire: str = "v1",
     ):
         self.address = address
         self.linger = linger
         self.auth_token = auth_token
-        self.wire = wire
         self.procs: list[subprocess.Popen] = []
 
     def spawn(self, count: int = 1) -> list[subprocess.Popen]:
@@ -347,7 +350,6 @@ class WorkerFleet:
             serviceharness.spawn_worker(
                 self.address,
                 linger=self.linger,
-                wire=self.wire,
                 auth_token=self.auth_token,
             )
             for _ in range(count)

@@ -1,15 +1,14 @@
 """Tests of the pluggable execution backends.
 
 Covers the backend contract (results in shard order, bit-identical
-across serial / process-pool / socket execution), the socket protocol's
-length-prefixed framing, the worker loop, remote-error propagation, the
+across serial / process-pool / socket execution), the worker loop,
+remote-error propagation, the
 backend spec strings the CLI forwards, and the campaign-hardening
 failure paths (auth rejection, heartbeat-timeout requeue, poison-chunk
 retry budgets, the workers-expected start barrier).
 """
 
 import socket
-import struct
 import threading
 import time
 
@@ -22,16 +21,15 @@ from repro.experiments.backends import (
     SerialBackend,
     SocketBackend,
     WorkerRejectedError,
+    WorkServer,
     _reconnect_backoff,
-    _recv_msg,
-    _send_msg,
     _tokens_match,
     parse_address,
     resolve_backend,
     resolve_jobs,
     run_worker,
 )
-from repro.experiments.wire import MAX_FRAME, StreamDesync, make_session
+from repro.experiments.wire import make_session
 from repro.experiments.config import CaseStudyConfig, SweepConfig
 from repro.experiments.runner import run_sweep
 from serviceharness import wait_for_address as _wait_for_address
@@ -72,42 +70,6 @@ def _die_once_then_succeed(item):
             os._exit(1)
         return ("survived", payload)
     return ("ok", payload)
-
-
-class TestFraming:
-    def test_roundtrip(self):
-        left, right = socket.socketpair()
-        with left, right:
-            message = ("task", 3, _identity, [1, 2, 3])
-            _send_msg(left, message)
-            received = _recv_msg(right)
-        assert received[0] == "task"
-        assert received[1] == 3
-        assert received[2] is _identity
-        assert received[3] == [1, 2, 3]
-
-    def test_clean_eof_returns_none(self):
-        left, right = socket.socketpair()
-        right.close()
-        with left:
-            assert _recv_msg(left) is None
-
-    def test_mid_frame_eof_raises(self):
-        left, right = socket.socketpair()
-        with left:
-            left.sendall(b"\x00\x00\x00")  # partial length header
-            left.shutdown(socket.SHUT_WR)
-            with pytest.raises(ConnectionError):
-                _recv_msg(right)
-        right.close()
-
-    def test_parse_address(self):
-        assert parse_address("10.0.0.1:7071") == ("10.0.0.1", 7071)
-        assert parse_address(":9") == ("127.0.0.1", 9)
-        with pytest.raises(ValueError):
-            parse_address("no-port")
-        with pytest.raises(ValueError):
-            parse_address("host:seven")
 
 
 class TestResolveBackend:
@@ -158,6 +120,14 @@ class TestResolveBackend:
         # never split blocks and larger fleets would starve.
         assert SocketBackend(spawn_workers=0).worker_hint() > 4
         assert SocketBackend(bind="0.0.0.0:7071", spawn_workers=2).worker_hint() > 4
+
+    def test_parse_address(self):
+        assert parse_address("10.0.0.1:7071") == ("10.0.0.1", 7071)
+        assert parse_address(":9") == ("127.0.0.1", 9)
+        with pytest.raises(ValueError):
+            parse_address("no-port")
+        with pytest.raises(ValueError):
+            parse_address("host:seven")
 
     def test_resolve_jobs(self):
         assert resolve_jobs(None) == 1
@@ -577,22 +547,6 @@ class TestReconnectBackoff:
 class TestMalformedFrames:
     """Satellite: torn/oversized/undecodable frames must not kill fleets."""
 
-    def test_oversized_length_prefix_is_desync_not_allocation(self):
-        left, right = socket.socketpair()
-        with left, right:
-            left.sendall(struct.pack(">Q", MAX_FRAME + 1))
-            with pytest.raises(StreamDesync):
-                _recv_msg(right)
-
-    def test_torn_header_mid_recv_raises_connection_error(self):
-        left, right = socket.socketpair()
-        with left:
-            left.sendall(b"\x00\x00\x00\x00\x00")  # 5 of 8 length bytes
-            left.shutdown(socket.SHUT_WR)
-            with pytest.raises(ConnectionError):
-                _recv_msg(right)
-        right.close()
-
     def test_undecodable_task_frame_worker_survives_and_chunk_resends(self):
         """A task frame the worker cannot decode (here: a function
         reference that does not resolve) must draw a ``badframe`` reply,
@@ -731,22 +685,136 @@ class TestElasticFleet:
         ]
 
     def test_constructor_validation(self):
-        with pytest.raises(ValueError, match="wire"):
-            SocketBackend(wire="v2")
         with pytest.raises(ValueError, match="max_buffered_chunks"):
             SocketBackend(max_buffered_chunks=0)
         with pytest.raises(ValueError, match="max_chunks"):
             run_worker("127.0.0.1:9", max_chunks=0)
 
 
-class TestLegacyPickleWire:
-    """``--wire pickle`` stays available as an explicit escape hatch."""
+class TestWorkServerMaps:
+    """Per-map semantics of the one work server, driven through submit()."""
 
-    def test_pickle_wire_end_to_end(self):
-        backend = SocketBackend(
-            spawn_workers=1, wire="pickle", timeout=SOCKET_TIMEOUT
-        )
-        assert backend.map(_identity, [1, 2, 3], chunksize=1) == [2, 4, 6]
+    def _server(self, **options):
+        options.setdefault("worker_linger", 0)
+        return WorkServer(**options)
+
+    def test_continue_past_quarantine_sets_the_poison_shard_aside(self):
+        server = self._server(spawn_workers=3, max_chunk_retries=1).start()
+        try:
+            handle = server.submit(
+                _exit_on_poison,
+                ["a", "poison", "b"],
+                continue_past_quarantine=True,
+                timeout=SOCKET_TIMEOUT,
+            )
+            got = sorted(handle.results())
+            assert got == [(0, "a"), (2, "b")]
+            assert handle.quarantined_shards == (1,)
+            assert handle.healed_shards == ()
+        finally:
+            server.close()
+
+    def test_auto_retry_heals_the_split_chunk(self, capsys):
+        server = self._server(spawn_workers=6, max_chunk_retries=1).start()
+        try:
+            handle = server.submit(
+                _exit_on_poison,
+                ["a", "poison", "b", "c"],
+                chunksize=2,
+                continue_past_quarantine=True,
+                timeout=SOCKET_TIMEOUT,
+            )
+            got = sorted(handle.results())
+            assert got == [(0, "a"), (2, "b"), (3, "c")]
+            assert handle.quarantined_shards == (1,)
+            assert handle.healed_shards == (0,)
+            assert server.snapshot()["maps"]["active"] == 0
+        finally:
+            server.close()
+        assert "auto-retry healed 1 of 2" in capsys.readouterr().err
+
+    def test_exhausted_budget_fails_only_that_map(self):
+        """Without continue mode the poison map raises, and the same
+        fleet still serves the next map."""
+        server = self._server(spawn_workers=3, max_chunk_retries=1).start()
+        try:
+            poison = server.submit(
+                _exit_on_poison, ["poison"], timeout=SOCKET_TIMEOUT
+            )
+            with pytest.raises(RuntimeError, match="retry budget"):
+                list(poison.results())
+            healthy = server.submit(_identity, [1, 2, 3], timeout=SOCKET_TIMEOUT)
+            assert sorted(healthy.results()) == [(0, 2), (1, 4), (2, 6)]
+            assert server.snapshot()["retries"] == 2
+        finally:
+            server.close()
+
+    def test_timeout_names_the_start_barrier(self):
+        server = self._server(workers_expected=2).start()
+        try:
+            handle = server.submit(_identity, [1], timeout=0.3)
+            with pytest.raises(TimeoutError, match="0 of 2 expected"):
+                list(handle.results())
+        finally:
+            server.close()
+
+    def test_backpressure_gate_is_per_map(self):
+        """A map with a full result buffer is skipped at dispatch; the
+        other open maps keep being served."""
+        server = self._server()
+        gated = server.submit(_identity, [1, 2, 3], max_buffered_chunks=1)
+        free = server.submit(_identity, [4, 5])
+        with server._condition:
+            assert server._pick_locked() == (gated.map_id, 0)
+            gated._entry["completed"][0] = [2]
+            assert server._pick_locked() == (free.map_id, 0)
+            assert server._pick_locked() == (free.map_id, 1)
+            assert server._pick_locked() is None
+            gated._entry["completed"].clear()
+            assert server._pick_locked() == (gated.map_id, 1)
+
+    def test_snapshot_reports_campaign_and_map_counts(self):
+        server = self._server()
+        server.submit(_identity, [1, 2], campaign_info={"exhibit": "fig6"})
+        snapshot = server.snapshot()
+        assert snapshot["campaign"] == {"exhibit": "fig6"}
+        assert snapshot["wire"] == "v1"
+        assert snapshot["chunks"]["total"] == 2
+        assert snapshot["chunks"]["pending"] == 2
+        assert snapshot["chunks"]["deferred"] == 0
+        assert (snapshot["quarantined"], snapshot["healed"]) == ([], 0)
+        assert snapshot["maps"] == {"active": 1, "opened": 1}
+
+
+class TestSocketFacade:
+    """SocketBackend runs each map on a fresh, fully torn-down WorkServer."""
+
+    def test_each_map_gets_a_fresh_campaign_id(self):
+        backend = SocketBackend(spawn_workers=1, timeout=SOCKET_TIMEOUT)
+        campaigns = []
+        for _ in range(2):
+            results = backend.imap_unordered(_identity, [1, 2], chunksize=1)
+            campaigns.append(backend._server._campaign)
+            assert sorted(results) == [(0, 2), (1, 4)]
+        assert campaigns[0] != campaigns[1]
+
+    def test_early_close_tears_the_server_down(self):
+        backend = SocketBackend(spawn_workers=1, timeout=SOCKET_TIMEOUT)
+        results = backend.imap_unordered(_identity, list(range(6)), chunksize=1)
+        next(results)
+        server, address = backend._server, backend.address
+        results.close()
+        assert server.address is None and server._procs == []
+        with pytest.raises(OSError):
+            socket.create_connection(address, timeout=2).close()
+        assert backend.address is None
+
+    def test_removed_knobs_are_rejected(self):
+        for removed in ({"wire": "v1"}, {"auto_retry": False}):
+            with pytest.raises(TypeError):
+                SocketBackend(**removed)
+        with pytest.raises(TypeError):
+            WorkServer(wire="v1")
 
 
 class TestAutoRetry:
@@ -771,20 +839,3 @@ class TestAutoRetry:
         assert backend.healed_shards == (0,)
         stderr = capsys.readouterr().err
         assert "auto-retry" in stderr
-
-    def test_auto_retry_off_quarantines_the_whole_chunk(self):
-        backend = SocketBackend(
-            spawn_workers=4,
-            max_chunk_retries=1,
-            continue_past_quarantine=True,
-            auto_retry=False,
-            timeout=SOCKET_TIMEOUT,
-        )
-        got = sorted(
-            backend.imap_unordered(
-                _exit_on_poison, ["a", "poison", "b", "c"], chunksize=2
-            )
-        )
-        assert got == [(2, "b"), (3, "c")]
-        assert backend.quarantined_shards == (0, 1)
-        assert backend.healed_shards == ()

@@ -7,17 +7,19 @@ one fault class per test (corruption, drops, duplicates, delays,
 connection tears) from a seeded RNG.  The acceptance test combines
 frame corruption, a SIGKILLed worker, and a late-joining worker over a
 full sweep and diffs the result bit-for-bit against a serial run — with
-the proxy simultaneously auditing that no pickle frame ever appears on
-the wire under ``--wire v1``.
+the proxy simultaneously auditing that every frame on the wire is a
+``repro-wire-v1`` frame.
 """
 
+import socket
 import time
 
 from chaos import ChaosProxy, FaultPlan, WorkerFleet
 from repro.experiments.backends import SocketBackend
 from repro.experiments.config import SweepConfig
 from repro.experiments.runner import run_sweep
-from serviceharness import BackgroundCampaign, wait_for_address
+from repro.experiments.wire import _DEFAULT_KEY, pack_frame
+from serviceharness import BackgroundCampaign, wait_for_address, wait_until
 
 SOCKET_TIMEOUT = 180.0
 
@@ -48,7 +50,6 @@ def _run_map_through_proxy(
     workers=2,
     chunksize=1,
     heartbeat=1.0,
-    wire="v1",
     kill_after=None,
     join_late=None,
 ):
@@ -57,7 +58,6 @@ def _run_map_through_proxy(
         spawn_workers=0,
         heartbeat_timeout=heartbeat,
         timeout=SOCKET_TIMEOUT,
-        wire=wire,
     )
     runner = BackgroundCampaign(
         lambda: backend.map(worker, items, chunksize=chunksize),
@@ -65,9 +65,7 @@ def _run_map_through_proxy(
     ).start()
     with ChaosProxy(wait_for_address(backend), plan) as proxy:
         host, port = proxy.address
-        fleet = WorkerFleet(
-            f"{host}:{port}", linger=SOCKET_TIMEOUT / 2, wire=wire
-        )
+        fleet = WorkerFleet(f"{host}:{port}", linger=SOCKET_TIMEOUT / 2)
         with fleet:
             fleet.spawn(workers)
             if kill_after is not None:
@@ -142,7 +140,7 @@ class TestProcessChaos:
 
 
 class TestWireAudit:
-    """The proxy doubles as the no-pickle-on-the-wire assertion."""
+    """The proxy doubles as the only-v1-frames-on-the-wire assertion."""
 
     def test_v1_campaign_has_no_wire_violations(self):
         items = list(range(8))
@@ -151,15 +149,39 @@ class TestWireAudit:
         assert proxy.stats.frames > 0
         assert proxy.violations == []
 
-    def test_pickle_wire_is_detected(self):
-        """Negative control: a legacy ``--wire pickle`` fleet through the
-        same proxy trips the audit immediately."""
-        items = list(range(4))
-        results, proxy = _run_map_through_proxy(
-            FaultPlan(seed=88), items, wire="pickle"
-        )
-        assert results == [v * 2 for v in items]
-        assert proxy.violations  # pickle frames are not RPW1 frames
+    def test_non_v1_bytes_are_detected(self):
+        """Negative control: bytes that are not an RPW1 frame (here a
+        length-prefixed pickle, as an old pickle-codec peer would send)
+        written through the same proxy trip the audit."""
+        with socket.socket() as upstream:
+            upstream.bind(("127.0.0.1", 0))
+            upstream.listen(1)
+            with ChaosProxy(upstream.getsockname(), FaultPlan(seed=88)) as proxy:
+                with socket.create_connection(proxy.address) as peer:
+                    peer.sendall(b"\x00" * 7 + b"\x10" + b"\x80\x05" + b"x" * 14)
+                    wait_until(
+                        lambda: proxy.violations,
+                        message="the proxy never flagged the non-v1 bytes",
+                    )
+        assert "non-v1 bytes" in proxy.violations[0]
+
+
+class TestProxyTeardown:
+    """A pump whose sibling already closed the pair ends quietly."""
+
+    def test_pump_into_a_torn_pair_is_end_of_connection(self):
+        proxy = ChaosProxy(("127.0.0.1", 9), FaultPlan(seed=5))
+        source, feeder = socket.socketpair()
+        sink, _ = socket.socketpair()
+        _.close()
+        sink.close()  # the sibling pump tore the pair down first
+        with feeder:
+            feeder.sendall(
+                pack_frame("heartbeat", (), campaign="", seq=1, key=_DEFAULT_KEY)
+            )
+            proxy._pump(source, sink, "worker->server")  # must not raise
+        assert proxy.stats.frames == 1
+        assert proxy.violations == []
 
 
 class TestChaosSweepBitIdentity:

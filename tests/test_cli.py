@@ -258,6 +258,16 @@ class TestHardeningFlags:
         )
         assert args.auth_token == "s3cret"
 
+    def test_wire_flag_removed(self, capsys):
+        """repro-wire-v1 is the only codec, so there is no flag to pick one."""
+        for argv in (
+            ["fig6", "--backend", "socket", "--wire", "v1"],
+            ["worker", "--connect", ":7071", "--wire", "v1"],
+        ):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(argv)
+        assert "--wire" in capsys.readouterr().err
+
     def test_fig6_hardened_socket_matches_serial(self, capsys, monkeypatch):
         """End-to-end: auth + barrier + heartbeats on, bit-identical."""
         monkeypatch.delenv("REPRO_AUTH_TOKEN", raising=False)

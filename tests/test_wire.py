@@ -5,7 +5,7 @@ numpy arrays and scalars, dataclasses, callables by reference), the
 authenticated frame format (HMAC rejection, bad magic, oversized and
 torn frames), the per-connection session semantics (sequence-number
 replay suppression, campaign scoping, MAC re-keying after the
-handshake), and the legacy pickle session kept behind ``--wire pickle``.
+handshake), and the session factory.
 """
 
 import dataclasses
@@ -24,7 +24,6 @@ from repro.experiments.wire import (
     WIRE_CHOICES,
     WIRE_FORMAT,
     FrameRejected,
-    PickleSession,
     StreamDesync,
     WireV1Session,
     decode_node,
@@ -201,7 +200,7 @@ class TestFrameFormat:
             # A pickle frame's length prefix is not RPW1: cross-wire
             # connections must die with a pointed message.
             left.sendall(b"\x00\x00\x00\x00\x00\x00\x00\x2a" + b"x" * 64)
-            with pytest.raises(StreamDesync, match="--wire"):
+            with pytest.raises(StreamDesync, match="repro-wire-v1"):
                 read_frame(right, KEY)
 
     def test_oversized_lengths_are_desync_before_allocation(self):
@@ -305,6 +304,34 @@ class TestWireV1Session:
         assert worker.secure("default") == "default"
         assert worker._key == wire._DEFAULT_KEY
 
+    def test_task_with_callable_roundtrips(self):
+        """A task message ships its worker by reference and its chunk by
+        value; the receiver gets back the very same function object."""
+        left, right, tx, rx = self._linked()
+        with left, right:
+            tx.send(left, ("task", 3, _module_fn, [1, 2, 3]))
+            kind, index, fn, chunk = rx.recv(right)
+        assert (kind, index, chunk) == ("task", 3, [1, 2, 3])
+        assert fn is _module_fn
+
+    def test_clean_eof_returns_none(self):
+        left, right, _, rx = self._linked()
+        left.close()
+        with right:
+            assert rx.recv(right) is None
+
+    def test_mid_frame_eof_is_connection_error(self):
+        """A peer dying mid-frame surfaces as a ``ConnectionError`` the
+        session loops already treat as a lost connection."""
+        left, right, tx, rx = self._linked()
+        frame = pack_frame("heartbeat", (), campaign="", seq=1, key=tx._key)
+        with left:
+            left.sendall(frame[:5])
+            left.shutdown(socket.SHUT_WR)
+            with pytest.raises(ConnectionError):
+                rx.recv(right)
+        right.close()
+
     def test_non_tuple_body_rejected(self):
         left, right, tx, rx = self._linked()
         with left, right:
@@ -314,45 +341,20 @@ class TestWireV1Session:
                 rx.recv(right)
 
 
-class TestPickleSession:
-    def test_roundtrip(self):
-        left, right = socket.socketpair()
-        session = PickleSession()
-        with left, right:
-            session.send(left, ("task", 0, _module_fn, [1]))
-            assert session.recv(right) == ("task", 0, _module_fn, [1])
-
-    def test_unpicklable_frame_is_per_frame_rejection(self):
-        left, right = socket.socketpair()
-        session = PickleSession()
-        with left, right:
-            payload = b"\x80\x05not really pickle"
-            left.sendall(struct.pack(">Q", len(payload)) + payload)
-            session.send(left, ("heartbeat",))
-            with pytest.raises(FrameRejected, match="unpickle"):
-                session.recv(right)
-            # Stream stays aligned: the next frame still reads.
-            assert session.recv(right) == ("heartbeat",)
-
-    def test_oversized_prefix_is_desync(self):
-        left, right = socket.socketpair()
-        session = PickleSession()
-        with left, right:
-            left.sendall(struct.pack(">Q", MAX_FRAME + 1))
-            with pytest.raises(StreamDesync):
-                session.recv(right)
-
-
 class TestMakeSession:
     def test_factory(self):
         assert make_session("v1").name == "v1"
-        assert make_session("pickle").name == "pickle"
         assert make_session("v1", "tok").mac_mode == "token"
         assert make_session("v1", None).mac_mode == "default"
         with pytest.raises(ValueError, match="unknown wire"):
             make_session("v2")
 
+    def test_pickle_codec_is_gone(self):
+        with pytest.raises(ValueError, match="unknown wire"):
+            make_session("pickle")
+        assert not hasattr(wire, "PickleSession")
+
     def test_constants(self):
         assert WIRE_FORMAT == "repro-wire-v1"
-        assert WIRE_CHOICES == ("v1", "pickle")
+        assert WIRE_CHOICES == ("v1",)
         assert len(MAGIC) == 4
