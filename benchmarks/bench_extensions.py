@@ -1,4 +1,4 @@
-"""Bench: ablation and extension experiments (DESIGN.md §2 extras).
+"""Bench: ablation and extension experiments (the ``ext_*`` exhibits in docs/architecture.md).
 
 * Data-pattern ablation — static patterns cap Naive's coverage; HARP is
   pattern-insensitive (paper §7.2.1).

@@ -154,11 +154,12 @@ class EccReverseEngineer:
     def solve(self) -> SystematicCode | None:
         """Solve for the code; ``None`` until the system pins it uniquely.
 
-        The constraint planes share one coefficient matrix, so the packed
-        tier solves all ``p`` right-hand sides in a single elimination
-        (:func:`repro.ecc.gf2w.solve_many`) instead of ``p`` separate
-        ones — bit-identical per plane to the reference loop, which a
-        forced ``REPRO_GF2_TIER=unpacked`` still exercises.
+        The constraint planes share one coefficient matrix, so once the
+        system is large enough for the packed tier
+        (:func:`repro.ecc.gf2.active_tier`) all ``p`` right-hand sides are
+        solved in a single elimination (:func:`repro.ecc.gf2w.solve_many`)
+        instead of ``p`` separate ones — bit-identical per plane to the
+        per-plane reference loop that smaller systems take.
         """
         if not self._rows:
             return None

@@ -6,13 +6,13 @@ the expected data bit error rate before (left panel) and after (right
 panel) the secondary ECC, as a function of active profiling rounds, for
 several raw bit error rates.
 
-Methodology (DESIGN.md §4.5): the number of at-risk bits per word is
-binomial in the at-risk rate ``q = RBER / p`` (an at-risk bit errs with
-probability ``p``, so the observable raw BER is ``q * p``).  Words with 0
-or 1 at-risk bits contribute zero post-correction BER under SEC, so we
-simulate strata of 2..max_at_risk at-risk bits and weight each stratum by
-its binomial probability — this is what lets RBER = 1e-8 be measured
-without 10^8 words.  BER is evaluated under the all-charged (0xFF)
+Methodology (the paper's Fig 10 case study, PAPER.md): the number of
+at-risk bits per word is binomial in the at-risk rate ``q = RBER / p`` (an
+at-risk bit errs with probability ``p``, so the observable raw BER is
+``q * p``).  Words with 0 or 1 at-risk bits contribute zero
+post-correction BER under SEC, so we simulate strata of 2..max_at_risk
+at-risk bits and weight each stratum by its binomial probability — this
+is what lets RBER = 1e-8 be measured without 10^8 words.  BER is evaluated under the all-charged (0xFF)
 operating pattern, the true-cell worst case.
 
 Execution rides the sweep shard engine: the grid decomposes into

@@ -1,7 +1,8 @@
 """Fig 2: expected wasted storage vs. RBER at several repair granularities.
 
-Closed-form (no Monte-Carlo): DESIGN.md maps this exhibit to
-:mod:`repro.repair.wasted_storage`.  The paper's headline observation — a
+Closed-form (no Monte-Carlo): the exhibit is a thin rendering of
+:mod:`repro.repair.wasted_storage` (the side package in the layer map of
+``docs/architecture.md``).  The paper's headline observation — a
 1024-bit repair granularity wastes over 99% of capacity at RBER 6.8e-3
 while bit-granularity repair wastes none — falls directly out of the curve.
 """

@@ -20,8 +20,7 @@ Pipeline per chip:
    analytically; words with ≥ 2 at-risk bits are *profiled*.
 3. **Profile** each such word for ``num_rounds`` rounds with the
    configured profiler (the cell-batched kernel when eligible, exactly
-   like the sweep engine; ``REPRO_SIM_KERNEL=scalar`` forces the
-   reference path — both are bit-identical).
+   like the sweep engine — both kernels are bit-identical).
 4. **Repair**: greedy row sparing plus bit spares over what profiling
    identified (:func:`repro.repair.policy.plan_row_sparing`), under the
    per-chip ``spare_rows`` / ``spare_bits`` budget.
@@ -77,7 +76,6 @@ from repro.memory.patterns import pattern_is_seeded
 from repro.profiling import PROFILER_REGISTRY
 from repro.profiling.runner import (
     WordArtifacts,
-    batched_kernel_enabled,
     simulate_word,
     simulate_words_batched,
 )
@@ -281,9 +279,7 @@ def run_fleet_shard(shard: FleetShard) -> dict:
             if index % shard.num_slices == shard.slice_index
         ]
         profiler_cls = PROFILER_REGISTRY[config.profiler]
-        use_batched = (
-            not profiler_cls.adaptive and profiler_cls.batched and batched_kernel_enabled()
-        )
+        use_batched = not profiler_cls.adaptive and profiler_cls.batched
         profiles = [
             WordErrorProfile(positions, tuple(config.probability for _ in positions))
             for _, positions in mine

@@ -95,7 +95,6 @@ from repro.profiling.runner import (
     BatchedWordArtifacts,
     WordArtifacts,
     WordRunResult,
-    batched_kernel_enabled,
     clear_charge_mask_cache,
     simulate_word,
     simulate_words_batched,
@@ -625,16 +624,13 @@ def run_shard(shard: SweepShard) -> tuple[SweepCell, float]:
     contract dispatch each group to the cell-batched kernel
     (:func:`~repro.profiling.runner.simulate_words_batched`) over
     zero-copy slices of the error count's pre-stacked inputs; adaptive
-    cells — and runs forced scalar via ``REPRO_SIM_KERNEL=scalar`` —
-    take the per-word reference path.  Both are bit-identical.
+    cells take the per-word reference path.  Both are bit-identical.
     """
     started = time.perf_counter()
     config = shard.config
     words = _words_for(config, shard.error_count)
     profiler_cls = PROFILER_REGISTRY[shard.profiler]
-    use_batched = (
-        not profiler_cls.adaptive and profiler_cls.batched and batched_kernel_enabled()
-    )
+    use_batched = not profiler_cls.adaptive and profiler_cls.batched
     stacks = _batch_stacks_for(config, shard.error_count) if use_batched else None
     metrics: list[WordMetrics] = []
     for start in range(0, len(words), _METRICS_BATCH):

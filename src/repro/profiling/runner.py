@@ -35,7 +35,6 @@ and ``tests/test_adaptive_caches.py`` pin that.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -56,38 +55,15 @@ __all__ = [
     "simulate_words_batched",
     "post_correction_data_errors",
     "post_correction_data_errors_batch",
-    "batched_kernel_enabled",
     "clear_charge_mask_cache",
 ]
 
 
-#: Environment knob selecting the engine's simulation kernel: ``auto``
-#: (default) dispatches non-adaptive cells to the cell-batched
-#: :func:`simulate_words_batched`, ``scalar`` forces the per-word
-#: reference path everywhere.  Both produce bit-identical results; the
-#: knob exists for benchmarking and as an escape hatch.
 #: Interned (word positions, failure bitmask) -> failed-positions tuple.
 #: Value-only cache (no invalidation hazard); the cap bounds pathological
 #: sweeps, normal grids hold a few thousand entries.
 _PATTERN_TUPLES: dict[tuple, tuple[int, ...]] = {}
 _PATTERN_TUPLES_MAX = 1 << 20
-
-_KERNEL_ENV = "REPRO_SIM_KERNEL"
-_KERNEL_MODES = ("auto", "scalar")
-
-
-def batched_kernel_enabled() -> bool:
-    """Whether the sweep engine may dispatch cells to the batched kernel.
-
-    Reads ``REPRO_SIM_KERNEL`` on every call (mirroring the
-    ``REPRO_GF2_TIER`` dispatch) so tests and operators can flip the
-    kernel without reloading modules.
-    """
-    value = os.environ.get(_KERNEL_ENV, "auto").strip().lower() or "auto"
-    if value not in _KERNEL_MODES:
-        raise ValueError(f"{_KERNEL_ENV} must be one of {_KERNEL_MODES}, got {value!r}")
-    return value == "auto"
-
 
 #: Cross-run charge-mask cache for adaptive (crafted) patterns: the mask
 #: is pure in (code, at-risk positions, orientation, written dataword),

@@ -1,8 +1,8 @@
 """Minimal CNF/DPLL SAT substrate (the repository's Z3 substitute)."""
 
-from repro.sat.cnf import Cnf
-from repro.sat.dpll import is_satisfiable, solve
-from repro.sat.gf2_encoding import (
+from sat.cnf import Cnf
+from sat.dpll import is_satisfiable, solve
+from sat.gf2_encoding import (
     encode_charge_constraints,
     sat_charge_assignment,
     sat_is_charge_realizable,

@@ -2,7 +2,7 @@
 
 Implements the classic Davis-Putnam-Logemann-Loveland procedure with unit
 propagation and a most-frequent-literal branching heuristic.  It is the
-repository's stand-in for Z3 (see DESIGN.md §3): the queries the paper
+repository's stand-in for Z3 (paper §7.1.2, PAPER.md): the queries the paper
 poses to Z3 are small (tens of variables), so a simple solver decides them
 instantly, and its independence from the GF(2) fast path makes it a useful
 cross-check in the property-based tests.
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from repro.sat.cnf import Cnf
+from sat.cnf import Cnf
 
 __all__ = ["solve", "is_satisfiable"]
 

@@ -13,8 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.ecc.linear_code import SystematicCode
-from repro.sat.cnf import Cnf
-from repro.sat.dpll import solve
+from sat.cnf import Cnf
+from sat.dpll import solve
 
 __all__ = ["encode_charge_constraints", "sat_charge_assignment", "sat_is_charge_realizable"]
 

@@ -6,7 +6,7 @@ identified/observed traces, same per-round failure patterns, on both
 GF(2) tiers, under any cell orientation, including degenerate words with
 no at-risk bits.  These tests pin that equivalence property-style over
 randomized rectangular cells, plus the dispatch rules (the `batched`
-profiler flag, the `REPRO_SIM_KERNEL` knob, adaptive rejection) and the
+profiler flag, adaptive rejection) and the
 probe-then-insert memo protocol the kernel batches through.
 """
 
@@ -29,11 +29,7 @@ from repro.profiling.beep import BeepProfiler
 from repro.profiling.harp import HarpAProfiler, HarpUProfiler
 from repro.profiling.naive import NaiveProfiler
 from repro.profiling.oracle import OracleProfiler
-from repro.profiling.runner import (
-    batched_kernel_enabled,
-    simulate_word,
-    simulate_words_batched,
-)
+from repro.profiling.runner import simulate_word, simulate_words_batched
 
 BATCHED_CLASSES = (NaiveProfiler, HarpUProfiler, HarpAProfiler)
 
@@ -79,8 +75,8 @@ class TestBitIdentity:
         _assert_runs_equal(scalar, batched)
 
     @pytest.mark.parametrize("tier", ["packed", "unpacked"])
-    def test_matches_scalar_on_both_gf2_tiers(self, tier, monkeypatch):
-        monkeypatch.setenv("REPRO_GF2_TIER", tier)
+    def test_matches_scalar_on_both_gf2_tiers(self, tier, gf2_tier):
+        gf2_tier(tier)
         rng = np.random.default_rng(11)
         codes, profiles, seeds = random_cell(rng, 10)
         for cls in BATCHED_CLASSES:
@@ -209,16 +205,29 @@ class TestDispatchRules:
                 [1],
             )
 
-    def test_kernel_knob_values(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_KERNEL", "auto")
-        assert batched_kernel_enabled()
-        monkeypatch.setenv("REPRO_SIM_KERNEL", "scalar")
-        assert not batched_kernel_enabled()
-        monkeypatch.delenv("REPRO_SIM_KERNEL")
-        assert batched_kernel_enabled()
-        monkeypatch.setenv("REPRO_SIM_KERNEL", "turbo")
-        with pytest.raises(ValueError, match="REPRO_SIM_KERNEL"):
-            batched_kernel_enabled()
+    @pytest.mark.parametrize("batched", [True, False])
+    def test_class_flags_alone_pick_the_sweep_kernel(self, batched, monkeypatch):
+        """A non-adaptive cell takes the cell kernel iff its class is ``batched``."""
+        import repro.experiments.runner as engine
+
+        def wrong_kernel(*args, **kwargs):
+            raise AssertionError("dispatched to the wrong simulation kernel")
+
+        monkeypatch.setattr(NaiveProfiler, "batched", batched)
+        unused = "simulate_word" if batched else "simulate_words_batched"
+        monkeypatch.setattr(engine, unused, wrong_kernel)
+        clear_engine_caches()
+        result = run_sweep(
+            SweepConfig(
+                num_codes=1,
+                words_per_code=2,
+                num_rounds=8,
+                error_counts=(2,),
+                probabilities=(1.0,),
+                profilers=("Naive",),
+            )
+        )
+        assert set(name for (_, _, name) in result.cells) == {"Naive"}
 
     def test_engine_results_identical_across_kernels(self, monkeypatch):
         config = SweepConfig(
@@ -229,20 +238,20 @@ class TestDispatchRules:
             probabilities=(0.5, 1.0),
             profilers=("Naive", "HARP-U", "HARP-A"),
         )
-        monkeypatch.setenv("REPRO_SIM_KERNEL", "scalar")
-        clear_engine_caches()
-        clear_analysis_caches()
-        scalar = run_sweep(config)
-        monkeypatch.setenv("REPRO_SIM_KERNEL", "auto")
+        with monkeypatch.context() as patcher:
+            for cls in BATCHED_CLASSES:
+                patcher.setattr(cls, "batched", False)
+            clear_engine_caches()
+            clear_analysis_caches()
+            scalar = run_sweep(config)
         clear_engine_caches()
         clear_analysis_caches()
         batched = run_sweep(config)
         assert scalar.cells == batched.cells
         assert scalar.quarantined == batched.quarantined
 
-    def test_adaptive_cells_keep_working_with_kernel_enabled(self, monkeypatch):
+    def test_adaptive_cells_keep_working_with_kernel_enabled(self):
         # BEEP cells must silently fall back to the scalar path.
-        monkeypatch.setenv("REPRO_SIM_KERNEL", "auto")
         config = SweepConfig(
             num_codes=1,
             words_per_code=2,

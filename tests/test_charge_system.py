@@ -5,12 +5,13 @@ The contract (``atrisk`` module docstring): both solve paths return the
 and extending it incrementally is bit-identical to solving the full
 system from scratch — for every split and insertion order of the
 constraints.  These tests pin that property over random SEC codes, which
-is what makes the memo layer's shared eliminated bases safe.
+is what makes the memo layer's shared eliminated bases safe.  The
+DPLL oracle under ``tests/sat/`` checks the same solver from outside.
 """
 
 import numpy as np
 import pytest
-from randcases import charge_case, charge_cases
+from randcases import charge_cases
 
 from repro.analysis.atrisk import (
     ChargeSystem,
@@ -19,8 +20,9 @@ from repro.analysis.atrisk import (
     solve_charge_assignment,
     unpack_dataword,
 )
-from repro.ecc import gf2w
 from repro.ecc.hamming import random_sec_code
+from repro.utils.rng import derive_rng
+from sat.gf2_encoding import sat_charge_assignment
 
 
 class TestIncrementalEquivalence:
@@ -117,44 +119,49 @@ class TestChargeSystemSemantics:
             )
 
 
-class TestPackedTierIdentity:
-    """REPRO_GF2_TIER=packed swaps the basis representation, not the answer.
+ORACLE_CASES = charge_cases(range(5000, 5025))
 
-    The packed word basis must reproduce the integer-row basis bit for
-    bit — same pivots, same feasibility, same canonical solution — for
-    every anchor/pair/forced-zero split, or the CI packed leg could not
-    promise tier-independent exhibits.
+
+def oracle_instance(case):
+    """(charged, zeros) for one case, tight enough to be infeasible at times.
+
+    Two parity cells join the charged set and every data bit but two free
+    ones is forced to zero, so the parity constraints often conflict.
     """
+    code, anchors, pair = case
+    rng = derive_rng(0, "dpll-oracle", case.label)
+    parity = {int(x) for x in rng.choice(range(code.k, code.n), size=2, replace=False)}
+    charged = frozenset(anchors | set(pair) | parity)
+    candidates = [bit for bit in range(code.k) if bit not in charged]
+    zeros = frozenset(
+        int(x) for x in rng.choice(candidates, size=max(len(candidates) - 2, 0), replace=False)
+    )
+    return charged, zeros
 
-    @pytest.mark.parametrize("case", charge_cases(range(5000, 5025)), ids=str)
-    def test_packed_matches_integer_basis(self, case, monkeypatch):
+
+class TestDpllOracle:
+    """The one integer basis against the independent CNF/DPLL decision."""
+
+    @pytest.mark.parametrize("case", ORACLE_CASES, ids=str)
+    def test_matches_dpll_oracle(self, case):
         code, anchors, pair = case
-        zeros = (
-            frozenset(int(x) for x in case.rng.choice(code.n, size=2, replace=False))
-            - anchors
-            - set(pair)
-        )
-        monkeypatch.setenv("REPRO_GF2_TIER", "unpacked")
-        reference = ChargeSystem(
-            code, tuple(sorted(anchors)), tuple(sorted(zeros))
-        ).with_charged(pair)
-        assert isinstance(reference._basis, list)
-        monkeypatch.setenv("REPRO_GF2_TIER", "packed")
-        packed = ChargeSystem(
-            code, tuple(sorted(anchors)), tuple(sorted(zeros))
-        ).with_charged(pair)
-        assert isinstance(packed._basis, gf2w.PackedBasis)
-        assert packed.feasible == reference.feasible
-        assert packed.solution_int() == reference.solution_int()
-        assert packed._pivots == reference._pivots
+        charged, zeros = oracle_instance(case)
+        base = ChargeSystem(code, tuple(sorted(charged - set(pair))), tuple(sorted(zeros)))
+        system = base.with_charged(pair)
+        witness = sat_charge_assignment(code, charged, zeros)
+        assert system.feasible == (witness is not None)
+        assert (_solve_charge_ints(code, charged, zeros) is None) == (witness is None)
+        if system.feasible:
+            codeword = code.encode(system.solution())
+            assert all(codeword[p] == 1 for p in charged)
+            assert not any(codeword[p] for p in zeros)
 
-    def test_solver_dispatch_under_packed_tier(self, monkeypatch):
-        code, anchors, pair = charge_case(99)
-        charged = anchors | set(pair)
-        monkeypatch.setenv("REPRO_GF2_TIER", "unpacked")
-        reference = _solve_charge_ints(code, charged, frozenset())
-        monkeypatch.setenv("REPRO_GF2_TIER", "packed")
-        assert _solve_charge_ints(code, charged, frozenset()) == reference
+    def test_oracle_cases_include_infeasible_systems(self):
+        feasible = [
+            sat_charge_assignment(case.code, *oracle_instance(case)) is not None
+            for case in ORACLE_CASES
+        ]
+        assert any(feasible) and not all(feasible)
 
 
 class TestUnpackDataword:

@@ -147,4 +147,10 @@ class TestHeadline:
 
     def test_render_includes_paper_reference(self, sweep):
         text = headline.render(active=headline.active_speedups(sweep))
-        assert "20.6%" in text or "Headline" in text
+        # The last column of each error count's row is the paper's value.
+        paper_column = {
+            cells[0]: cells[-1]
+            for cells in (line.split() for line in text.splitlines())
+            if cells and cells[0].isdigit()
+        }
+        assert paper_column == {"2": "20.6%", "3": "36.4%"}

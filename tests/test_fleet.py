@@ -35,6 +35,7 @@ from repro.memory.faults import (
     FaultMixModel,
     sample_chip_faults,
 )
+from repro.profiling import PROFILER_REGISTRY
 from serviceharness import repro_env
 
 #: Seconds-fast fleet: 24 chips over 2 codes, heavy chips sliced at 4
@@ -288,14 +289,28 @@ class TestSubCellSharding:
 
     @pytest.mark.parametrize("tier", ["packed", "unpacked"])
     @pytest.mark.parametrize("kernel", ["auto", "scalar"])
-    def test_slice_merge_equals_whole_cell(self, tier, kernel, monkeypatch):
-        monkeypatch.setenv("REPRO_GF2_TIER", tier)
-        monkeypatch.setenv("REPRO_SIM_KERNEL", kernel)
+    def test_slice_merge_equals_whole_cell(self, tier, kernel, gf2_tier, monkeypatch):
+        gf2_tier(tier)
+        if kernel == "scalar":
+            monkeypatch.setattr(PROFILER_REGISTRY[TINY.profiler], "batched", False)
         fleet.clear_fleet_caches()
         clear_engine_caches()
         sliced = fleet.run(TINY)
         whole = fleet.run(replace(TINY, slice_words=0))
         assert sliced.chips == whole.chips
+
+    @pytest.mark.parametrize("batched", [True, False])
+    def test_class_flags_alone_pick_the_fleet_kernel(self, batched, monkeypatch):
+        """Profiled words take the cell kernel iff the profiler is ``batched``."""
+
+        def wrong_kernel(*args, **kwargs):
+            raise AssertionError("dispatched to the wrong simulation kernel")
+
+        monkeypatch.setattr(PROFILER_REGISTRY[TINY.profiler], "batched", batched)
+        unused = "simulate_word" if batched else "simulate_words_batched"
+        monkeypatch.setattr(fleet, unused, wrong_kernel)
+        fleet.clear_fleet_caches()
+        assert fleet.run(TINY).chips
 
     def test_poisoned_slice_quarantines_only_its_chip_and_heals(self, tmp_path):
         reference = fleet.run(SMALL)

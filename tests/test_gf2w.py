@@ -8,6 +8,8 @@ toward low-rank inputs (sparse entries, duplicated rows) and straddle
 the 64-column word boundary on purpose.
 """
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,6 +30,49 @@ def random_matrix(rows, cols, seed, density):
     if rows >= 2 and rng.random() < 0.5:
         matrix[int(rng.integers(rows))] = matrix[int(rng.integers(rows))]
     return matrix
+
+
+#: Every ``gf2`` facade op, as ``op(matrix, b)``; products use ``matrix.T``
+#: so both the matrix-matrix and matrix-vector shapes are exercised.
+FACADE_OPS = {
+    "row_reduce": lambda m, b: gf2.row_reduce(m),
+    "rank": lambda m, b: gf2.rank(m),
+    "solve": lambda m, b: gf2.solve(m, b),
+    "is_consistent": lambda m, b: gf2.is_consistent(m, b),
+    "nullspace": lambda m, b: gf2.nullspace(m),
+    "matmul": lambda m, b: gf2.matmul(m, np.ascontiguousarray(m.T)),
+    "matvec": lambda m, b: gf2.matvec(np.ascontiguousarray(m.T), b),
+}
+
+
+def _facade_reference(op, matrix, b):
+    """``FACADE_OPS[op]`` computed without the facade's dispatch."""
+    if op == "matmul":
+        return (matrix.astype(np.int64) @ matrix.T.astype(np.int64) % 2).astype(np.uint8)
+    if op == "matvec":
+        return (matrix.T.astype(np.int64) @ b.astype(np.int64) % 2).astype(np.uint8)
+    if op in ("row_reduce", "rank", "nullspace"):
+        reduced, pivots = _reference_row_reduce(matrix)
+        if op == "row_reduce":
+            return reduced, pivots
+        if op == "rank":
+            return len(pivots)
+        cols = matrix.shape[1]
+        free = [c for c in range(cols) if c not in pivots]
+        basis = np.zeros((len(free), cols), dtype=np.uint8)
+        for index, col in enumerate(free):
+            basis[index, col] = 1
+            basis[index, pivots] = reduced[: len(pivots), col]
+        return basis
+    cols = matrix.shape[1]
+    reduced, pivots = _reference_row_reduce(np.concatenate([matrix, b[:, None]], axis=1))
+    if op == "is_consistent":
+        return cols not in pivots
+    if cols in pivots:
+        return None
+    solution = np.zeros(cols, dtype=np.uint8)
+    solution[pivots] = reduced[: len(pivots), cols]
+    return solution
 
 
 # Row/column ranges deliberately cross the 64-column word boundary.
@@ -158,37 +203,59 @@ class TestPackedProducts:
 
 
 class TestFacadeDispatch:
-    def test_env_forces_tier(self, monkeypatch):
-        monkeypatch.setenv("REPRO_GF2_TIER", "packed")
-        assert gf2.active_tier(1) == "packed"
-        monkeypatch.setenv("REPRO_GF2_TIER", "unpacked")
-        assert gf2.active_tier(10**9) == "unpacked"
-        monkeypatch.setenv("REPRO_GF2_TIER", "auto")
-        assert gf2.active_tier(1) == "unpacked"
-        assert gf2.active_tier(10**9) == "packed"
+    def test_dispatch_depends_only_on_size(self):
+        assert gf2.active_tier(gf2._AUTO_PACKED_SIZE - 1) == "unpacked"
+        assert gf2.active_tier(gf2._AUTO_PACKED_SIZE) == "packed"
 
-    def test_invalid_tier_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_GF2_TIER", "bogus")
-        with pytest.raises(ValueError):
-            gf2.active_tier(1)
+    def test_session_tier_follows_test_harness_variable(self):
+        # tests/conftest.py forces the tier for the whole session when
+        # REPRO_GF2_TIER is set (the CI matrix's packed leg).
+        packed = os.environ.get("REPRO_GF2_TIER") == "packed"
+        assert gf2.active_tier(1) == ("packed" if packed else "unpacked")
+
+    def test_fixture_forces_tier(self, gf2_tier):
+        gf2_tier("packed")
+        assert gf2.active_tier(1) == "packed"
+        gf2_tier("unpacked")
+        assert gf2.active_tier(10**9) == "unpacked"
 
     @pytest.mark.parametrize("tier", ["packed", "unpacked"])
-    def test_facade_output_identical_under_both_tiers(self, monkeypatch, tier):
+    def test_facade_output_identical_under_both_tiers(self, gf2_tier, tier):
         matrix = random_matrix(24, 100, seed=33, density=0.3)
         rng = np.random.default_rng(34)
         b = rng.integers(0, 2, size=24, dtype=np.uint8)
         baseline_rref, baseline_pivots = gf2._row_reduce_unpacked(matrix)
-        monkeypatch.setenv("REPRO_GF2_TIER", tier)
+        gf2_tier(tier)
         rref, pivots = gf2.row_reduce(matrix)
         assert pivots == baseline_pivots
         assert np.array_equal(rref, baseline_rref)
         solved = gf2.solve(matrix, b)
-        monkeypatch.setenv("REPRO_GF2_TIER", "unpacked")
+        gf2_tier("unpacked")
         reference = gf2.solve(matrix, b)
         if reference is None:
             assert solved is None
         else:
             assert np.array_equal(solved, reference)
+
+
+    @pytest.mark.parametrize("tier", ["packed", "unpacked"])
+    @pytest.mark.parametrize("op", sorted(FACADE_OPS))
+    def test_every_facade_op_matches_reference_on_forced_tier(self, gf2_tier, op, tier):
+        matrix = random_matrix(30, 90, seed=35, density=0.3)
+        matrix[7] = matrix[3] ^ matrix[5]  # rank-deficient: nullspace and rhs checks bite
+        b = np.random.default_rng(36).integers(0, 2, size=30, dtype=np.uint8)
+        expected = _facade_reference(op, matrix, b)
+        gf2_tier(tier)
+        actual = FACADE_OPS[op](matrix, b)
+        if op == "row_reduce":
+            assert actual[1] == expected[1]
+            assert np.array_equal(actual[0], expected[0])
+        elif op in ("rank", "is_consistent"):
+            assert actual == expected
+        elif expected is None:
+            assert actual is None
+        else:
+            assert np.array_equal(actual, expected)
 
 
 class TestValidationFastPaths:
@@ -210,39 +277,3 @@ class TestValidationFastPaths:
         out = gf2._validated(arr, 2)
         assert out.dtype == np.uint8
 
-
-class TestPackedBasis:
-    def test_matches_reference_gaussian_solution(self):
-        rng = np.random.default_rng(77)
-        for trial in range(25):
-            cols = int(rng.integers(1, 150))
-            rows = int(rng.integers(1, 40))
-            basis = gf2w.PackedBasis(cols)
-            a = (rng.random((rows, cols)) < 0.3).astype(np.uint8)
-            x_true = rng.integers(0, 2, size=cols, dtype=np.uint8)
-            b = gf2w.matvec(a, x_true)
-            packed_rows = gf2w.pack_rows(a)
-            for i in range(rows):
-                basis.insert(packed_rows[i], int(b[i]))
-            solution = basis.solution_words()
-            assert solution is not None
-            solved = gf2w.unpack_vector(solution, cols)
-            assert np.array_equal(gf2w.matvec(a, solved), b)
-
-    def test_infeasible_system_detected(self):
-        basis = gf2w.PackedBasis(70)
-        basis.insert_bit(65, 1)
-        basis.insert_bit(65, 0)
-        assert basis.infeasible
-        assert basis.solution_words() is None
-        assert basis.solution_int() is None
-
-    def test_copy_is_independent(self):
-        basis = gf2w.PackedBasis(130)
-        basis.insert_bit(100, 1)
-        fork = basis.copy()
-        fork.insert_bit(3, 1)
-        assert basis.count == 1
-        assert fork.count == 2
-        assert basis.solution_int() == 1 << 100
-        assert fork.solution_int() == (1 << 100) | (1 << 3)

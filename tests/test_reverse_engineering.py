@@ -65,6 +65,16 @@ class TestEndToEndRecovery:
         )
         assert recovered == code
 
+    @pytest.mark.parametrize("tier", ["packed", "unpacked"])
+    def test_recovers_code_on_both_gf2_tiers(self, tier, gf2_tier):
+        """The multi-plane packed solve and the per-plane loop agree."""
+        gf2_tier(tier)
+        code = random_sec_code(32, np.random.default_rng(9))
+        recovered = reverse_engineer(
+            simulate_injection(code), code.k, code.p, np.random.default_rng(59)
+        )
+        assert recovered == code
+
     def test_recovers_paper_example_code(self):
         code = paper_example_code()
         recovered = reverse_engineer(

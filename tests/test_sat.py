@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sat.cnf import Cnf
-from repro.sat.dpll import is_satisfiable, solve
+from sat.cnf import Cnf
+from sat.dpll import is_satisfiable, solve
 
 
 def brute_force_satisfiable(cnf: Cnf) -> bool:

@@ -4,7 +4,7 @@ The paper decides charge-realizability with Z3; this repository decides it
 with Gaussian elimination and keeps a CNF encoding as an independent oracle.
 These property tests assert the two decision procedures agree on random
 instances, which is the correctness argument for the substitution
-(DESIGN.md §3).
+(paper §7.1.2, PAPER.md).
 """
 
 import numpy as np
@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from repro.analysis.atrisk import is_charge_realizable, solve_charge_assignment
 from repro.ecc.hamming import random_sec_code
-from repro.sat.gf2_encoding import sat_charge_assignment, sat_is_charge_realizable
+from sat.gf2_encoding import sat_charge_assignment, sat_is_charge_realizable
 
 
 def make_instance(seed, k, num_ones, num_zeros):
