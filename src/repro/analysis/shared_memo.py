@@ -10,14 +10,15 @@ workers outlive many chunks still pays one warm-up per worker.
 
 This module promotes those caches to a **shared tier**:
 
-1. :func:`publish_sweep_artifacts` precomputes every per-code artifact of
-   a sweep once in the parent — word contexts (with their exponential
-   ground-truth enumerations), pattern schedules and their encodings,
-   Bernoulli failure draws, and the full aliasing-pair tables of every
-   code — and serializes them into one
+1. ``publish_entries(sweep_entries(config))`` precomputes every
+   per-code artifact of a sweep once in the parent — word contexts (with
+   their exponential ground-truth enumerations), pattern schedules and
+   their encodings, Bernoulli failure draws, and the full aliasing-pair
+   tables of every code — and serializes them into one
    :class:`multiprocessing.shared_memory.SharedMemory` block.
 2. Pool workers attach with :func:`attach_worker` (wired up as the
    :class:`~repro.experiments.backends.ProcessPoolBackend` initializer by
+   the driver loop, :func:`repro.experiments.runner.run_campaign`, for
    ``run_sweep(..., shared_cache=True)``).  Numpy payloads are mapped as
    **read-only zero-copy views** over the shared block — no unpickling,
    no per-worker copy of the big draw matrices; object payloads (ground
@@ -67,7 +68,6 @@ __all__ = [
     "overlay_install",
     "overlay_size",
     "clear_shared_overlay",
-    "publish_sweep_artifacts",
     "publish_entries",
     "attach_worker",
 ]
@@ -326,13 +326,3 @@ def sweep_entries(config) -> dict[Hashable, tuple[str, Any]]:
                 cached_aliasing_pairs(code, target),
             )
     return entries
-
-
-def publish_sweep_artifacts(config) -> SharedCacheBlock:
-    """Precompute a sweep's shared artifacts and publish them in one block.
-
-    The parent's caches come out warm (fork children inherit them), the
-    returned block serves ``spawn``/late-joining workers, and the caller
-    owns its lifetime: destroy it once the map has drained.
-    """
-    return publish_entries(sweep_entries(config))

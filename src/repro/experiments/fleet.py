@@ -46,7 +46,8 @@ only after a chip's slices are all in (row sparing needs the whole
 chip).  ``slice_words=0`` disables splitting (whole-cell mode, the
 benchmark baseline).
 
-Resume, quarantine, and monitoring mirror the sweep engine:
+Resume, quarantine, and monitoring ride the sweep engine's driver loop
+(:func:`~repro.experiments.runner.run_campaign`):
 ``run(config, resume=PATH)`` streams slices to a
 :class:`~repro.experiments.store.FleetStore`, a backend in
 continue-past-quarantine mode reports poisoned slices (the affected
@@ -62,8 +63,8 @@ from functools import lru_cache
 
 from repro.ecc.hamming import random_sec_code
 from repro.experiments import runner as sweep_runner
-from repro.experiments.backends import resolve_backend
 from repro.experiments.config import FleetConfig
+from repro.experiments.store import FleetStore
 from repro.memory.error_model import WordErrorProfile
 from repro.memory.faults import (
     FAULT_MODES,
@@ -496,85 +497,32 @@ def run(
     ``chips`` (listed on ``incomplete_chips``) until a targeted re-run
     completes them.
     """
-    from repro.analysis import shared_memo
-    from repro.experiments.backends import ProcessPoolBackend
-    from repro.experiments.store import FleetStore
-
-    shards = shard_fleet(config)
-    # Resolve (and validate) the backend before any store side effects:
-    # a bad spec must not leave a header-only store file behind.
-    executor = resolve_backend(backend, jobs)
-    if hasattr(executor, "campaign_info"):
-        executor.campaign_info = {
+    run = sweep_runner.run_campaign(
+        FleetStore,
+        config,
+        shard_fleet,
+        _timed_fleet_shard,
+        jobs=jobs,
+        backend=backend,
+        resume=resume,
+        progress=progress,
+        shared_entries=fleet_entries if shared_cache else None,
+        campaign_info=lambda shards: {
             "workload": "fleet",
             "chips": config.num_chips,
             "shards": len(shards),
             "cell_slices": sum(1 for shard in shards if shard.num_slices > 1),
-        }
-    shared_block = None
-    if shared_cache:
-        shared_block = shared_memo.publish_entries(fleet_entries(config))
-        if isinstance(executor, ProcessPoolBackend) and executor.jobs > 1:
-            executor = ProcessPoolBackend(
-                executor.jobs,
-                initializer=shared_memo.attach_worker,
-                initargs=(shared_block.name,),
-            )
-    store: FleetStore | None = None
-    persisted: dict[tuple[int, int, int, int], dict] = {}
-    if resume is not None:
-        store = FleetStore(resume)
-        stored_config, persisted = store.load()
-        if persisted and stored_config is None:
-            raise ValueError(
-                f"{resume} holds shards but does not record the fleet config "
-                "that produced them; refusing to reuse shards that cannot be "
-                "verified (use a fresh --resume path)"
-            )
-        if stored_config is not None and stored_config != config:
-            raise ValueError(
-                f"{resume} was written by a different fleet config; "
-                "refusing to mix results (use a fresh --resume path)"
-            )
-        store.open(config)
-    from repro.experiments.monitor import progress_reporter, quarantined_keys
-
-    pending = [shard for shard in shards if shard.key not in persisted]
-    reporter = progress_reporter(progress, len(shards), "shards")
-    if reporter is not None:
-        reporter.start(done=len(persisted))
-    payloads: dict[tuple[int, int, int, int], dict] = dict(persisted)
-    quarantined: tuple[tuple[int, int, int, int], ...] = ()
-    try:
-        for index, (payload, elapsed) in executor.imap_unordered(
-            _timed_fleet_shard, pending, chunksize=1
-        ):
-            key = pending[index].key
-            payloads[key] = payload
-            if store is not None:
-                store.append(key, payload, seconds=elapsed)
-            if reporter is not None:
-                reporter.completed(elapsed)
-        quarantined = quarantined_keys(
-            executor, pending, lambda shard: shard.key, store=store
-        )
-        if reporter is not None:
-            reporter.finish(quarantined=len(quarantined))
-    finally:
-        if store is not None:
-            store.close()
-        if shared_block is not None:
-            shared_block.destroy()
-
+        },
+    )
     # A chip is complete only when every slice of its shard group landed;
     # a quarantined slice poisons exactly its own chips.
     incomplete = {
         chip
-        for key in quarantined
+        for key in run.quarantined
         for chip in range(key[0], key[1])
     }
     merged = merge_slice_payloads(
-        [payloads[shard.key] for shard in shards if shard.key in payloads]
+        [run.results[shard.key] for shard in run.shards if shard.key in run.results]
     )
     summaries = tuple(
         finalize_chip(config, chip_faults(config, chip), merged.get(chip, {}))
@@ -584,7 +532,7 @@ def run(
     return FleetResult(
         config=config,
         chips=summaries,
-        quarantined=quarantined,
+        quarantined=run.quarantined,
         incomplete_chips=tuple(sorted(incomplete)),
     )
 

@@ -14,11 +14,10 @@ Three instruments, one per operational question:
   ``--status-port``); :func:`read_status` / ``python -m repro status
   HOST:PORT`` fetch and :func:`render_status` renders it.
 * "How far along is the grid?" — :class:`ProgressReporter` prints
-  periodic stderr progress/ETA lines from inside
-  :func:`~repro.experiments.runner.run_sweep` and
-  :func:`~repro.experiments.fig10.run` (CLI ``--progress``), and
-  :func:`grid_shape` / :func:`estimate_eta` are the same coverage math
-  the ``repro store PATH summary`` toolbox uses on a store at rest.
+  periodic stderr progress/ETA lines from inside every campaign driver
+  (:func:`~repro.experiments.runner.run_campaign`, CLI ``--progress``),
+  and :func:`grid_shape` / :func:`estimate_eta` are the same coverage
+  math the ``repro store PATH summary`` toolbox uses on a store at rest.
 * "What did the campaign skip?" — :func:`quarantine_report` renders
   the shard keys a ``--continue-past-quarantine`` run set aside, with
   the targeted re-run recipe.
@@ -90,9 +89,9 @@ field                     meaning
 
 Fields added by later protocol revisions are additive: clients must
 tolerate their absence (``repro status`` renders pre-elastic snapshots
-without churn/healed lines rather than failing).  ``repro-status-v1``
-is the same schema without ``history``/``maps``; :func:`read_status`
-still accepts it so one operator CLI can watch old and new servers.
+without churn/healed lines rather than failing).  The retired
+``repro-status-v1`` schema (no ``history``/``maps``) is refused like
+any other foreign format.
 
 See ``docs/operations.md`` for the monitoring runbook.
 """
@@ -106,13 +105,10 @@ import sys
 import threading
 import time
 from collections import deque
-from collections.abc import Mapping
 from typing import Callable, Iterable, Sequence
 
 __all__ = [
     "STATUS_FORMAT",
-    "STATUS_FORMAT_V1",
-    "STATUS_FORMATS",
     "HISTORY_SAMPLES",
     "ThroughputHistory",
     "StatusServer",
@@ -121,8 +117,6 @@ __all__ = [
     "build_status_parser",
     "status_main",
     "ProgressReporter",
-    "progress_reporter",
-    "quarantined_keys",
     "grid_shape",
     "format_grid",
     "estimate_eta",
@@ -132,13 +126,6 @@ __all__ = [
 
 #: Format tag of the one-line JSON status snapshot.
 STATUS_FORMAT = "repro-status-v2"
-
-#: The pre-history schema; still accepted by :func:`read_status` so the
-#: operator CLI keeps working against servers from before the bump.
-STATUS_FORMAT_V1 = "repro-status-v1"
-
-#: Every snapshot format this client renders.
-STATUS_FORMATS = (STATUS_FORMAT_V1, STATUS_FORMAT)
 
 #: Ring-buffer depth of the throughput history (one sample per second
 #: at most, so this is roughly the last minute of the campaign).
@@ -192,45 +179,16 @@ class ThroughputHistory:
 def grid_shape(config) -> tuple[list[tuple[str, int]], int] | None:
     """Dimensions and total cell count of a campaign config's grid.
 
-    Accepts either a config object (:class:`~repro.experiments.config.SweepConfig`
-    / :class:`~repro.experiments.config.CaseStudyConfig`) or the plain
-    dict a store header records, so the same logic serves live drivers
-    and stores at rest.  Returns ``([(label, count), ...], total)`` —
-    sweep grids are error counts x probabilities x profilers, case-study
-    grids are probabilities x codes x at-risk strata — or ``None`` for
-    an unrecognized config shape.
+    The campaign is looked up by the config's class in
+    :data:`repro.experiments.store.CAMPAIGNS`, whose declaration names
+    the grid dimensions; stores at rest read the same declaration by
+    their header format.  Returns ``([(label, count), ...], total)``, or
+    ``None`` for any object that is no library campaign config.
     """
-    if config is None:
-        return None
-    if isinstance(config, Mapping):
-        get = config.get
-    else:
-        def get(key, default=None):
-            return getattr(config, key, default)
+    from repro.experiments.store import campaign_for_config
 
-    if get("error_counts") is not None:
-        dims = [
-            ("error counts", len(get("error_counts"))),
-            ("probabilities", len(get("probabilities") or ())),
-            ("profilers", len(get("profilers") or ())),
-        ]
-    elif get("max_at_risk") is not None:
-        dims = [
-            ("probabilities", len(get("probabilities") or ())),
-            ("codes", int(get("num_codes") or 0)),
-            ("strata", max(0, int(get("max_at_risk")) - 1)),
-        ]
-    elif get("num_chips") is not None:
-        # Fleet campaigns: the grid is the population itself — shard
-        # records subdivide it (ranges, cell slices), but coverage is
-        # counted in whole chips.
-        dims = [("chips", int(get("num_chips")))]
-    else:
-        return None
-    total = 1
-    for _, count in dims:
-        total *= count
-    return dims, total
+    campaign = campaign_for_config(config)
+    return None if campaign is None else campaign.grid_shape(config)
 
 
 def format_grid(dims: Sequence[tuple[str, int]], total: int) -> str:
@@ -278,9 +236,9 @@ def format_eta(seconds: float | None) -> str:
 class ProgressReporter:
     """Periodic stderr progress/ETA lines for a running campaign grid.
 
-    The drivers (:func:`~repro.experiments.runner.run_sweep`,
-    :func:`~repro.experiments.fig10.run`) call :meth:`start` with the
-    resumed-cell head start and :meth:`completed` per finished cell; the
+    The driver loop (:func:`~repro.experiments.runner.run_campaign`)
+    calls :meth:`start` with the resumed head start (cells and their
+    recorded seconds) and :meth:`completed` per finished cell; the
     reporter prints at most one line per ``interval`` seconds (plus the
     first and last).  The ETA extrapolates this run's *wall-clock*
     completion rate, so a parallel fleet's speedup is priced in — while
@@ -370,41 +328,6 @@ class ProgressReporter:
                 line += f" · eta ~{format_eta(eta)}"
         print(line + suffix, file=stream, flush=True)
         self._last_report = self._clock()
-
-
-def progress_reporter(
-    progress: bool | float, total: int, unit: str
-) -> ProgressReporter | None:
-    """Resolve a driver's ``progress`` option into a reporter.
-
-    The one construction shared by :func:`~repro.experiments.runner.run_sweep`
-    and :func:`~repro.experiments.fig10.run`: ``False``/``None`` mean
-    off, ``True`` means the default cadence, and a number is the
-    cadence in seconds — where ``0.0`` is a zero-second cadence (report
-    every cell), not "off".
-    """
-    if progress is False or progress is None:
-        return None
-    interval = 10.0 if progress is True else float(progress)
-    return ProgressReporter(total, unit=unit, interval=interval)
-
-
-def quarantined_keys(executor, shards: Sequence, key_of: Callable, store=None) -> tuple:
-    """Map a backend's quarantined shard indices back to shard keys.
-
-    ``executor.quarantined_shards`` indexes into the ``shards`` sequence
-    the map was given; ``key_of`` extracts a shard's store key.  When a
-    ``store`` is supplied, each key is durably recorded as a quarantine
-    marker too — the drivers' one-call quarantine epilogue.
-    """
-    keys = tuple(
-        key_of(shards[index])
-        for index in getattr(executor, "quarantined_shards", ())
-    )
-    if store is not None:
-        for key in keys:
-            store.append_quarantine(key)
-    return keys
 
 
 def quarantine_report(keys: Iterable, unit: str = "shard") -> str:
@@ -537,11 +460,11 @@ def read_status(address: str | tuple[str, int], timeout: float = 5.0) -> dict:
             f"{host}:{port} did not answer with a JSON status line (is that "
             "really a --status-port, not the work port?)"
         ) from None
-    if not isinstance(snapshot, dict) or snapshot.get("format") not in STATUS_FORMATS:
+    if not isinstance(snapshot, dict) or snapshot.get("format") != STATUS_FORMAT:
         raise ValueError(
             f"{host}:{port} answered with an unknown status format "
             f"{snapshot.get('format') if isinstance(snapshot, dict) else snapshot!r} "
-            f"(expected one of {', '.join(STATUS_FORMATS)})"
+            f"(expected {STATUS_FORMAT})"
         )
     return snapshot
 

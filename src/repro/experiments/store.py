@@ -6,60 +6,63 @@ equivalent for the Python reproduction, in two layers:
 
 * **Documents** — :class:`SweepResult` objects round-trip through JSON
   (``repro-sweep-v2``: cells, per-cell timings, *and* the sweep config,
-  so a shard file is self-describing; ``v1`` files without a config
-  still load), and results from independently-run shards merge into one
-  result via :func:`merge_sweeps`.
+  so a shard file is self-describing), and results from
+  independently-run shards merge into one result via
+  :func:`merge_sweeps`.
 * **Streams** — the :class:`JsonlStore` family appends each completed
   work unit to a JSONL file the moment it finishes, so a killed
-  campaign loses nothing.  :class:`ShardStore` holds sweep cells
-  (``run_sweep(..., resume=PATH)``), and :class:`Fig10Store` holds the
-  case study's per-(probability, code, stratum) shard results
-  (``fig10.run(..., resume=PATH)``); both skip already-persisted keys
-  on restart, so an interrupted run resumes bit-identically.
-  Downstream consumers can read the records line by line without
-  loading a full result — that is what the ``python -m repro store``
-  toolbox (:mod:`repro.experiments.storetools`) does to summarize,
-  compact, and merge stores.  (The drivers still assemble the complete
-  in-memory result they return — the store bounds *loss*, not driver
-  memory.)  A record is one line; a crash mid-append leaves at most one
-  damaged final line, which loading tolerates and appending repairs or
-  trims.
+  campaign loses nothing.  Each campaign kind is declared once, as a
+  :class:`CampaignSchema` in :data:`CAMPAIGNS` (table below); its store
+  class (:class:`ShardStore`, :class:`Fig10Store`, :class:`FleetStore`)
+  adds only the ``append`` that encodes one result.  Loading, the
+  header check, quarantine markers and config (de)serialization are
+  read off the declaration, and so are the record keys and grid
+  dimensions the ``python -m repro store`` toolbox
+  (:mod:`repro.experiments.storetools`) and
+  :func:`repro.experiments.monitor.grid_shape` use.  The one driver
+  loop, :func:`repro.experiments.runner.run_campaign`, streams every
+  campaign's results through its store and skips persisted keys on
+  restart, so an interrupted run resumes bit-identically.  (The drivers
+  still assemble the complete in-memory result they return — the store
+  bounds *loss*, not driver memory.)  A record is one line; a crash
+  mid-append leaves at most one damaged final line, which loading
+  tolerates and appending repairs or trims.
 
-On-disk record kinds (one JSON object per line):
+Campaign schema table (one :class:`CampaignSchema` each):
 
-==========  =======================================================
-kind        contents
-==========  =======================================================
-header      file format tag + the config that produced the records
-cell        one completed sweep cell (``ShardStore``)
-fig10       one completed case-study shard (``Fig10Store``)
-fleet       one completed fleet shard — a chip range or a heavy
-            chip's cell slice (``FleetStore``)
-quarantine  key of a shard a ``--continue-past-quarantine`` run set
-            aside (all stores); loading ignores it, so a rerun
-            recomputes exactly those shards, and ``store summary``
-            reports the ones not yet resolved by a completed record
-==========  =======================================================
+==========  ================  =====  ===================================  ===============
+store       header format     kind   key fields                           grid
+==========  ================  =====  ===================================  ===============
+ShardStore  repro-sweep-v2    cell   error_count int, probability float,  error counts ×
+                                     profiler str                         probabilities ×
+                                                                          profilers
+Fig10Store  repro-fig10-v1    fig10  probability float, code_index int,   probabilities ×
+                                     count int (at-risk stratum)          codes × strata
+FleetStore  repro-fleet-v1    fleet  start int, stop int, slice_index     chips
+                                     int, num_slices int
+==========  ================  =====  ===================================  ===============
 
-Record field reference (beyond ``kind``):
+On-disk records (one JSON object per line):
 
-* ``header`` — ``{"format": "repro-sweep-v2" | "repro-fig10-v1",
-  "config": {...} | null}``; the config dict round-trips the frozen
-  :class:`~repro.experiments.config.SweepConfig` /
-  :class:`~repro.experiments.config.CaseStudyConfig` field for field.
-* ``cell`` — the cell key (``error_count`` int, ``probability`` float,
-  ``profiler`` str), ``words`` (list of per-word metric dicts, one per
-  Monte-Carlo word), and optional ``seconds`` (the cell's recorded
-  compute wall-clock, used for the summary's ETA).
-* ``fig10`` — the shard key (``probability`` float, ``code_index``
-  int, ``count`` int = at-risk stratum), the per-profiler ``before`` /
-  ``after`` / ``to_zero`` trajectory dicts, and optional ``seconds``.
-* ``fleet`` — the shard key (``start`` / ``stop`` chip range plus
-  ``slice_index`` / ``num_slices`` for sub-cell slices), the per-chip
-  ``chips`` payload (word coordinates, at-risk positions, identified
-  positions), and optional ``seconds``.
-* ``quarantine`` — exactly the key fields of the ``cell`` / ``fig10`` /
-  ``fleet`` record it stands in for, nothing else.
+* ``header`` — ``{"format": <header format>, "kind": "header",
+  "config": {...} | null}``; the config dict round-trips the
+  campaign's frozen config dataclass
+  (:class:`~repro.experiments.config.SweepConfig` /
+  :class:`~repro.experiments.config.CaseStudyConfig` /
+  :class:`~repro.experiments.config.FleetConfig`) field for field.
+* ``cell`` — the key fields, ``words`` (list of per-word metric dicts,
+  one per Monte-Carlo word), and optional ``seconds`` (the cell's
+  recorded compute wall-clock, used for ETAs); ``kind`` comes last.
+* ``fig10`` — the key fields, the per-profiler ``before`` / ``after`` /
+  ``to_zero`` trajectory dicts, and optional ``seconds``.
+* ``fleet`` — the key fields (a chip range, or one heavy chip's cell
+  slice), the per-chip ``chips`` payload (word coordinates, at-risk
+  positions, identified positions), and optional ``seconds``.
+* ``quarantine`` — exactly the key fields of the record it stands in
+  for, nothing else: a shard a ``--continue-past-quarantine`` run set
+  aside.  Loading ignores it, so a rerun recomputes exactly those
+  shards, and ``store summary`` reports the ones not yet resolved by a
+  completed record.
 
 Duplicate keys always resolve **last-wins** on load; the
 ``python -m repro store`` toolbox compacts superseded records away and
@@ -69,10 +72,13 @@ prunes quarantine markers that a later completed record resolved.
 from __future__ import annotations
 
 import json
+import math
 import os
-from dataclasses import asdict
+from collections.abc import Mapping
+from dataclasses import asdict, dataclass, replace
+from functools import partial
 from pathlib import Path
-from typing import IO, Iterable, Iterator
+from typing import IO, Any, Callable, Iterable, Iterator, NamedTuple
 
 from repro.experiments.config import CaseStudyConfig, FleetConfig, SweepConfig
 from repro.experiments.runner import SweepCell, SweepResult, WordMetrics
@@ -83,25 +89,20 @@ __all__ = [
     "merge_sweeps",
     "config_to_dict",
     "config_from_dict",
-    "case_config_to_dict",
-    "case_config_from_dict",
-    "fleet_config_to_dict",
-    "fleet_config_from_dict",
+    "CampaignSchema",
+    "SWEEP",
+    "FIG10",
+    "FLEET",
+    "CAMPAIGNS",
+    "CAMPAIGNS_BY_FORMAT",
+    "CAMPAIGNS_BY_KIND",
+    "campaign_for_config",
+    "StoreContents",
     "JsonlStore",
     "ShardStore",
     "Fig10Store",
     "FleetStore",
 ]
-
-#: Current on-disk format tag (header of both documents and JSONL stores).
-FORMAT_V2 = "repro-sweep-v2"
-#: PR 1 format: cells and timings only, no config.
-FORMAT_V1 = "repro-sweep-v1"
-#: Fig 10 case-study store format tag.
-FORMAT_FIG10 = "repro-fig10-v1"
-#: Fleet field-simulation store format tag.
-FORMAT_FLEET = "repro-fleet-v1"
-
 
 def _metrics_to_dict(metrics: WordMetrics) -> dict:
     return {
@@ -130,105 +131,47 @@ def _metrics_from_dict(payload: dict) -> WordMetrics:
 
 
 def config_to_dict(config) -> dict | None:
-    """JSON-safe dict of a :class:`SweepConfig` (``None`` if not one).
+    """JSON-safe dict of a campaign config (``None`` for anything else).
 
-    Sweeps may run with any hashable config-like object; only the
-    library's own frozen dataclass is given a guaranteed round-trip.
+    Campaigns may run with any hashable config-like object; only the
+    library's own frozen dataclasses — the ``config_class`` of a
+    :data:`CAMPAIGNS` entry — are given a guaranteed round-trip.
     """
-    if not isinstance(config, SweepConfig):
+    if campaign_for_config(config) is None:
         return None
-    payload = asdict(config)
-    for key, value in payload.items():
-        if isinstance(value, tuple):
-            payload[key] = list(value)
-    return payload
+    return {
+        key: list(value) if isinstance(value, tuple) else value
+        for key, value in asdict(config).items()
+    }
 
 
-def config_from_dict(payload: dict | None) -> SweepConfig | None:
+def config_from_dict(payload: dict | None, config_class: type):
     """Inverse of :func:`config_to_dict` (``None`` passes through)."""
     if payload is None:
         return None
-    kwargs = dict(payload)
-    for key, value in kwargs.items():
-        if isinstance(value, list):
-            kwargs[key] = tuple(value)
-    return SweepConfig(**kwargs)
+    return config_class(
+        **{
+            key: tuple(value) if isinstance(value, list) else value
+            for key, value in payload.items()
+        }
+    )
 
 
-def case_config_to_dict(config) -> dict | None:
-    """JSON-safe dict of a :class:`CaseStudyConfig` (``None`` if not one).
-
-    The case-study twin of :func:`config_to_dict`: only the library's
-    own frozen dataclass gets a guaranteed round-trip.
-    """
-    if not isinstance(config, CaseStudyConfig):
-        return None
-    payload = asdict(config)
-    for key, value in payload.items():
-        if isinstance(value, tuple):
-            payload[key] = list(value)
-    return payload
-
-
-def case_config_from_dict(payload: dict | None) -> CaseStudyConfig | None:
-    """Inverse of :func:`case_config_to_dict` (``None`` passes through)."""
-    if payload is None:
-        return None
-    kwargs = dict(payload)
-    for key, value in kwargs.items():
-        if isinstance(value, list):
-            kwargs[key] = tuple(value)
-    return CaseStudyConfig(**kwargs)
-
-
-def fleet_config_to_dict(config) -> dict | None:
-    """JSON-safe dict of a :class:`FleetConfig` (``None`` if not one).
-
-    The fleet twin of :func:`config_to_dict`: only the library's own
-    frozen dataclass gets a guaranteed round-trip.
-    """
-    if not isinstance(config, FleetConfig):
-        return None
-    payload = asdict(config)
-    for key, value in payload.items():
-        if isinstance(value, tuple):
-            payload[key] = list(value)
-    return payload
-
-
-def fleet_config_from_dict(payload: dict | None) -> FleetConfig | None:
-    """Inverse of :func:`fleet_config_to_dict` (``None`` passes through)."""
-    if payload is None:
-        return None
-    kwargs = dict(payload)
-    for key, value in kwargs.items():
-        if isinstance(value, list):
-            kwargs[key] = tuple(value)
-    return FleetConfig(**kwargs)
-
-
-def _cell_to_dict(cell: SweepCell, seconds: float | None = None) -> dict:
-    entry = {
-        "error_count": cell.error_count,
-        "probability": cell.probability,
-        "profiler": cell.profiler,
-        "words": [_metrics_to_dict(m) for m in cell.words],
-    }
+def _cell_record(key: tuple[int, float, str], cell: SweepCell, seconds: float | None) -> dict:
+    entry = {**SWEEP.key_record(key), "words": [_metrics_to_dict(m) for m in cell.words]}
     if seconds is not None:
         entry["seconds"] = seconds
     return entry
 
 
-def _cell_from_dict(entry: dict) -> tuple[tuple[int, float, str], SweepCell, float | None]:
-    key = (int(entry["error_count"]), float(entry["probability"]), str(entry["profiler"]))
-    cell = SweepCell(
-        error_count=key[0],
-        probability=key[1],
-        profiler=key[2],
+def _cell_from_record(entry: dict) -> SweepCell:
+    error_count, probability, profiler = SWEEP.key_of(entry)
+    return SweepCell(
+        error_count=error_count,
+        probability=probability,
+        profiler=profiler,
         words=[_metrics_from_dict(m) for m in entry["words"]],
     )
-    seconds = float(entry["seconds"]) if "seconds" in entry else None
-    return key, cell, seconds
 
 
 def sweep_to_json(sweep: SweepResult) -> str:
@@ -236,38 +179,36 @@ def sweep_to_json(sweep: SweepResult) -> str:
 
     Emits the self-describing ``repro-sweep-v2`` document: when the
     sweep's config is the library's :class:`SweepConfig` it rides along
-    and :func:`sweep_from_json` restores it, fixing the v1 wart where a
-    shard file forgot what experiment produced it.  A cell's wall-clock
-    seconds ride along as its ``seconds`` field when the engine recorded
-    them, so aggregated shard files keep the cost accounting the
+    and :func:`sweep_from_json` restores it, so a shard file remembers
+    what experiment produced it.  A cell's wall-clock seconds ride along
+    as its ``seconds`` field when the engine recorded them, so
+    aggregated shard files keep the cost accounting the
     streaming/distributed backends need.
     """
-    cells = []
-    for key, cell in sorted(sweep.cells.items()):
-        cells.append(_cell_to_dict(cell, sweep.timings.get(key)))
+    cells = [
+        _cell_record(key, cell, sweep.timings.get(key))
+        for key, cell in sorted(sweep.cells.items())
+    ]
     return json.dumps(
-        {"format": FORMAT_V2, "config": config_to_dict(sweep.config), "cells": cells}
+        {"format": SWEEP.format, "config": config_to_dict(sweep.config), "cells": cells}
     )
 
 
 def sweep_from_json(document: str) -> SweepResult:
-    """Inverse of :func:`sweep_to_json`.
-
-    Accepts both ``repro-sweep-v2`` (config round-trips) and the legacy
-    ``repro-sweep-v1`` (config is ``None``) documents.
-    """
+    """Inverse of :func:`sweep_to_json`; any other format is refused."""
     payload = json.loads(document)
-    version = payload.get("format")
-    if version not in (FORMAT_V1, FORMAT_V2):
-        raise ValueError("not a repro sweep document")
-    config = config_from_dict(payload.get("config")) if version == FORMAT_V2 else None
+    if payload.get("format") != SWEEP.format:
+        raise ValueError(
+            f"not a {SWEEP.format} sweep document (format {payload.get('format')!r})"
+        )
     cells: dict[tuple[int, float, str], SweepCell] = {}
     timings: dict[tuple[int, float, str], float] = {}
     for entry in payload["cells"]:
-        key, cell, seconds = _cell_from_dict(entry)
-        cells[key] = cell
-        if seconds is not None:
-            timings[key] = seconds
+        key = SWEEP.key_of(entry)
+        cells[key] = _cell_from_record(entry)
+        if "seconds" in entry:
+            timings[key] = float(entry["seconds"])
+    config = config_from_dict(payload.get("config"), SweepConfig)
     return SweepResult(config=config, cells=cells, timings=timings)
 
 
@@ -289,22 +230,11 @@ def merge_sweeps(shards: Iterable[SweepResult]) -> SweepResult:
     timings: dict[tuple[int, float, str], float] = {}
     for shard in shards:
         for key, cell in shard.cells.items():
+            words = list(cell.words)
             if key in merged:
-                existing = merged[key]
-                _check_compatible(existing, cell)
-                merged[key] = SweepCell(
-                    error_count=cell.error_count,
-                    probability=cell.probability,
-                    profiler=cell.profiler,
-                    words=existing.words + cell.words,
-                )
-            else:
-                merged[key] = SweepCell(
-                    error_count=cell.error_count,
-                    probability=cell.probability,
-                    profiler=cell.profiler,
-                    words=list(cell.words),
-                )
+                _check_compatible(merged[key], cell)
+                words = merged[key].words + words
+            merged[key] = replace(cell, words=words)
         for key, seconds in shard.timings.items():
             timings[key] = timings.get(key, 0.0) + seconds
     config = shards[0].config
@@ -322,23 +252,166 @@ def _check_compatible(a: SweepCell, b: SweepCell) -> None:
             )
 
 
+def _chips_done(keys: Iterable[tuple]) -> int:
+    """Chips whose every fleet shard has landed.
+
+    A fleet record is a shard, not a chip: a range shard completes its
+    whole chip span, but a heavy chip is done only when every slice of
+    its ``(start, stop, num_slices)`` group is present.
+    """
+    groups: dict[tuple, set] = {}
+    for start, stop, slice_index, num_slices in keys:
+        groups.setdefault((start, stop, num_slices), set()).add(slice_index)
+    return sum(
+        stop - start
+        for (start, stop, num_slices), slices in groups.items()
+        if len(slices) == num_slices
+    )
+
+
+@dataclass(frozen=True)
+class CampaignSchema:
+    """One campaign kind, declared once: its records, config and grid.
+
+    Stores, the ``repro store`` toolbox, the coverage math and the
+    driver loop all read this declaration instead of repeating it.
+    """
+
+    #: Header format tag.
+    format: str
+    #: ``kind`` of a completed record.
+    kind: str
+    #: ``(field, type)`` of every key field, in on-disk order.
+    key_fields: tuple[tuple[str, type], ...]
+    #: The frozen config dataclass whose header dict round-trips.
+    config_class: type
+    #: ``(label, config field, size of that field)`` per grid dimension.
+    grid: tuple[tuple[str, str, Callable[[Any], int]], ...]
+    #: A completed record's payload, as the campaign's shard worker
+    #: returns it.
+    decode: Callable[[dict], Any]
+    #: Progress noun of one record (``cells`` / ``shards``).
+    unit: str
+    #: Summary label of the completed records.
+    label: str
+    #: Operator-facing names of the store file and of the config.
+    store_name: str
+    config_name: str
+    #: Completed work units among the given record keys, when records
+    #: subdivide units (``None``: every record is one unit).
+    units_done: Callable[[Iterable[tuple]], int] | None = None
+
+    def key_of(self, record: Mapping) -> tuple:
+        """The typed key a completed or quarantine record carries."""
+        return tuple(kind(record[name]) for name, kind in self.key_fields)
+
+    def key_record(self, key: tuple) -> dict:
+        """The key fields of a record, in on-disk order."""
+        return {name: kind(value) for (name, kind), value in zip(self.key_fields, key)}
+
+    def grid_shape(self, config) -> tuple[list[tuple[str, int]], int]:
+        """``([(label, count), ...], total)`` of a config or its header dict."""
+        get = config.get if isinstance(config, Mapping) else partial(getattr, config)
+        dims = [(label, size(get(name))) for label, name, size in self.grid]
+        return dims, math.prod(count for _, count in dims)
+
+
+SWEEP = CampaignSchema(
+    format="repro-sweep-v2",
+    kind="cell",
+    key_fields=(("error_count", int), ("probability", float), ("profiler", str)),
+    config_class=SweepConfig,
+    grid=(
+        ("error counts", "error_counts", len),
+        ("probabilities", "probabilities", len),
+        ("profilers", "profilers", len),
+    ),
+    decode=_cell_from_record,
+    unit="cells",
+    label="sweep cells",
+    store_name="sweep shard store",
+    config_name="sweep",
+)
+
+FIG10 = CampaignSchema(
+    format="repro-fig10-v1",
+    kind="fig10",
+    key_fields=(("probability", float), ("code_index", int), ("count", int)),
+    config_class=CaseStudyConfig,
+    grid=(
+        ("probabilities", "probabilities", len),
+        ("codes", "num_codes", int),
+        ("strata", "max_at_risk", lambda max_at_risk: max(0, int(max_at_risk) - 1)),
+    ),
+    decode=lambda record: (record["before"], record["after"], record["to_zero"]),
+    unit="shards",
+    label="fig10 shards",
+    store_name="Fig 10 case-study store",
+    config_name="case-study",
+)
+
+FLEET = CampaignSchema(
+    format="repro-fleet-v1",
+    kind="fleet",
+    key_fields=(("start", int), ("stop", int), ("slice_index", int), ("num_slices", int)),
+    config_class=FleetConfig,
+    grid=(("chips", "num_chips", int),),
+    decode=lambda record: {"chips": record["chips"]},
+    unit="shards",
+    label="fleet shards",
+    store_name="fleet store",
+    config_name="fleet",
+    units_done=_chips_done,
+)
+
+#: Every campaign kind, and the two lookups stores at rest need.
+CAMPAIGNS = (SWEEP, FIG10, FLEET)
+CAMPAIGNS_BY_FORMAT = {campaign.format: campaign for campaign in CAMPAIGNS}
+CAMPAIGNS_BY_KIND = {campaign.kind: campaign for campaign in CAMPAIGNS}
+
+
+def campaign_for_config(config) -> CampaignSchema | None:
+    """The campaign whose config class ``config`` is (``None`` if opaque)."""
+    return next((c for c in CAMPAIGNS if isinstance(config, c.config_class)), None)
+
+
+def unknown_record(path: Path, number: int, record: dict) -> ValueError:
+    """The error for a line that is no record of the store being read."""
+    if record.get("format") == SWEEP.format and "cells" in record:
+        # A whole sweep_to_json document, not a store: resuming onto it
+        # would ignore its cells and append records that corrupt it.
+        return ValueError(
+            f"{path} is a sweep_to_json document, not a JSONL shard store; "
+            "load it with sweep_from_json (and give --resume its own path)"
+        )
+    return ValueError(f"{path}: unknown shard record on line {number + 1}")
+
+
+class StoreContents(NamedTuple):
+    """What :meth:`JsonlStore.load` read: config, payloads, seconds."""
+
+    config: Any
+    #: Winning (last-appended) payload per key, in first-append order.
+    payloads: dict
+    #: Recorded compute seconds of the winning records that carry them.
+    seconds: dict
+
+
 class JsonlStore:
-    """Append-only, torn-tail-tolerant JSONL record file (base machinery).
+    """Append-only, torn-tail-tolerant JSONL record file.
 
     One JSON object per line; appends flush and fsync per record, so
     after a crash the file holds every fully-reported record plus at
     most one truncated tail line, which reading skips and appending
-    repairs or trims.  Subclasses define what the records *mean* —
-    :class:`ShardStore` for sweep cells, :class:`Fig10Store` for
-    case-study shards — by setting :attr:`format` and implementing
-    :meth:`_header_record` / ``load``.  The
-    :mod:`~repro.experiments.storetools` toolbox operates on the raw
-    records of either kind.
+    repairs or trims.  A subclass names its :class:`CampaignSchema` as
+    :attr:`campaign` and defines ``append``; :meth:`load`, the header
+    check and :meth:`append_quarantine` follow from the declaration.
+    The :mod:`~repro.experiments.storetools` toolbox streams the raw
+    records of any kind through this base class.
     """
 
-    #: Format tag written into (and required of) the header record;
-    #: set by subclasses.
-    format: str
+    #: The campaign whose records the store holds; set by subclasses.
+    campaign: CampaignSchema
 
     def __init__(self, path: str | os.PathLike) -> None:
         self.path = Path(path)
@@ -388,11 +461,48 @@ class JsonlStore:
                 f"{self.path}: corrupt shard record on line {number + 1}"
             ) from None
 
-    # -- writing --------------------------------------------------------
+    def load(self) -> StoreContents:
+        """Read every intact record; tolerate a truncated final line.
 
-    def _header_record(self, config) -> dict:
-        """Header written on a fresh file (subclasses serialize config)."""
-        raise NotImplementedError
+        Duplicate keys resolve last-wins.  Quarantine markers are
+        skipped: their shards were never computed, so a resume
+        recomputes them (``store summary`` reports unresolved ones).
+        """
+        campaign = self.campaign
+        config = None
+        payloads: dict = {}
+        seconds: dict = {}
+        for number, record in self.iter_records():
+            kind = record.get("kind")
+            if kind == campaign.kind:
+                key = campaign.key_of(record)
+                payloads[key] = campaign.decode(record)
+                if "seconds" in record:
+                    seconds[key] = float(record["seconds"])
+                else:
+                    seconds.pop(key, None)
+            elif kind == "header":
+                self._check_header(record)
+                config = config_from_dict(record.get("config"), campaign.config_class)
+            elif kind != "quarantine":
+                raise unknown_record(self.path, number, record)
+        return StoreContents(config, payloads, seconds)
+
+    def _check_header(self, record: dict) -> None:
+        """Refuse a header of any format but the store's own."""
+        found = record.get("format")
+        own = self.campaign
+        if found == own.format:
+            return
+        other = CAMPAIGNS_BY_FORMAT.get(found)
+        what = f"a {other.store_name}, not" if other is not None else "not"
+        raise ValueError(
+            f"{self.path} is {what} a {own.store_name} (header format "
+            f"{found!r}, expected {own.format!r}); give each exhibit its own "
+            "--resume path"
+        )
+
+    # -- writing --------------------------------------------------------
 
     def open(self, config=None) -> "JsonlStore":
         """Open for appending, writing the header record on a new file.
@@ -411,7 +521,9 @@ class JsonlStore:
         fresh = not self.path.exists() or self.path.stat().st_size == 0
         self._handle = open(self.path, "a", encoding="utf-8")
         if fresh:
-            self._write_record(self._header_record(config))
+            self._write_record(
+                {"format": self.campaign.format, "kind": "header", "config": config_to_dict(config)}
+            )
         return self
 
     def _trim_torn_tail(self) -> None:
@@ -470,6 +582,27 @@ class JsonlStore:
         self._handle.flush()
         os.fsync(self._handle.fileno())
 
+    def _append(self, record: dict, seconds: float | None = None) -> None:
+        """Durably append one record (opens the store if needed).
+
+        ``seconds`` (the shard's recorded compute wall-clock) rides
+        last, for the ETA math; results never depend on it.
+        """
+        if self._handle is None:
+            self.open()
+        if seconds is not None:
+            record["seconds"] = seconds
+        self._write_record(record)
+
+    def append_quarantine(self, key: tuple) -> None:
+        """Durably record that a run set this key's shard aside.
+
+        The marker never shadows data: :meth:`load` ignores it (so a
+        resume recomputes the shard) and the toolbox prunes it once a
+        completed record with the same key lands.
+        """
+        self._append({"kind": "quarantine", **self.campaign.key_record(key)})
+
     def close(self) -> None:
         if self._handle is not None:
             self._handle.close()
@@ -483,103 +616,17 @@ class JsonlStore:
 
 
 class ShardStore(JsonlStore):
-    """Append-only JSONL stream of completed sweep cells.
+    """Completed sweep cells of ``run_sweep(..., resume=PATH)``."""
 
-    Layout: the first line is a ``repro-sweep-v2`` header record
-    carrying the sweep config; every following line is one completed
-    cell.  Appends flush and fsync per record, so after a crash the file
-    holds every fully-reported cell plus at most one truncated tail
-    line, which :meth:`load` skips (and a resume simply recomputes).
+    campaign = SWEEP
 
-    The store is the disk half of ``run_sweep(..., resume=PATH)``: the
-    engine appends cells as backends complete them and, on restart,
-    skips every shard whose key is already present.
-    """
-
-    format = FORMAT_V2
-
-    def _header_record(self, config) -> dict:
-        return {"format": self.format, "kind": "header", "config": config_to_dict(config)}
-
-    def load(self) -> SweepResult:
-        """Read every intact record; tolerate a truncated final line."""
-        config = None
-        cells: dict[tuple[int, float, str], SweepCell] = {}
-        timings: dict[tuple[int, float, str], float] = {}
-        for number, record in self.iter_records():
-            if record.get("format") in (FORMAT_V1, FORMAT_V2) and "cells" in record:
-                # A whole sweep_to_json document, not a store: resuming
-                # onto it would ignore its cells and append records that
-                # corrupt it — refuse loudly instead.
-                raise ValueError(
-                    f"{self.path} is a sweep_to_json document, not a JSONL "
-                    "shard store; load it with sweep_from_json (and give "
-                    "--resume its own path)"
-                )
-            if record.get("kind") == "header":
-                if record.get("format") == FORMAT_FIG10:
-                    raise ValueError(
-                        f"{self.path} is a Fig 10 case-study store, not a "
-                        "sweep shard store; load it with Fig10Store (and "
-                        "give each exhibit its own --resume path)"
-                    )
-                if record.get("format") == FORMAT_FLEET:
-                    raise ValueError(
-                        f"{self.path} is a fleet store, not a sweep shard "
-                        "store; load it with FleetStore (and give each "
-                        "exhibit its own --resume path)"
-                    )
-                if record.get("format") == FORMAT_V2:
-                    config = config_from_dict(record.get("config"))
-            elif record.get("kind") == "cell":
-                key, cell, seconds = _cell_from_dict(record)
-                cells[key] = cell  # duplicate keys: last append wins
-                if seconds is not None:
-                    timings[key] = seconds
-            elif record.get("kind") == "quarantine":
-                # A continue-past-quarantine run set this cell aside; it
-                # was never computed, so a resume must recompute it —
-                # which ignoring the marker achieves.  `store summary`
-                # is what reports unresolved markers to operators.
-                continue
-            else:
-                raise ValueError(f"{self.path}: unknown shard record on line {number + 1}")
-        return SweepResult(config=config, cells=cells, timings=timings)
-
-    def keys(self) -> set[tuple[int, float, str]]:
-        """Keys of every intact persisted cell."""
-        return set(self.load().cells)
-
-    def append(self, cell: SweepCell, seconds: float | None = None) -> None:
+    def append(
+        self, key: tuple[int, float, str], cell: SweepCell, seconds: float | None = None
+    ) -> None:
         """Durably append one completed cell (opens the store if needed)."""
-        if self._handle is None:
-            self.open()
-        record = _cell_to_dict(cell, seconds)
-        record["kind"] = "cell"
-        self._write_record(record)
+        # Sweep records carry their kind last, after the cell document.
+        self._append({**_cell_record(key, cell, seconds), "kind": SWEEP.kind})
 
-    def append_quarantine(self, key: tuple[int, float, str]) -> None:
-        """Durably record that a run set this cell's shard aside.
-
-        The marker never shadows data: :meth:`load` ignores it (so a
-        resume recomputes the cell) and the toolbox prunes it once a
-        completed ``cell`` record with the same key lands.
-        """
-        if self._handle is None:
-            self.open()
-        error_count, probability, profiler = key
-        self._write_record(
-            {
-                "kind": "quarantine",
-                "error_count": int(error_count),
-                "probability": float(probability),
-                "profiler": str(profiler),
-            }
-        )
-
-
-#: Key of one case-study shard: (probability, code_index, at-risk count).
-Fig10Key = tuple[float, int, int]
 
 #: One persisted case-study shard result, exactly as
 #: :func:`repro.experiments.fig10.run_case_shard` returns it:
@@ -588,183 +635,44 @@ Fig10ShardResult = tuple[dict, dict, dict]
 
 
 class Fig10Store(JsonlStore):
-    """Append-only JSONL stream of completed Fig 10 case-study shards.
+    """Completed Fig 10 shards of ``fig10.run(..., resume=PATH)``.
 
-    The case-study twin of :class:`ShardStore`: the first line is a
-    ``repro-fig10-v1`` header carrying the
-    :class:`~repro.experiments.config.CaseStudyConfig`, and every
-    following line is one completed :class:`~repro.experiments.fig10.Fig10Shard`
-    result — the per-profiler BER trajectories of one (probability,
-    code, at-risk stratum) cell, self-describing via the shard's
-    coordinates.  ``fig10.run(..., resume=PATH)`` streams each shard
-    here as backends deliver it and skips persisted keys on restart, so
-    a killed ``--scale paper`` case study resumes bit-identically
-    (floats survive JSON exactly: Python serializes them via repr,
-    which round-trips).
+    Floats survive JSON exactly (Python serializes them via repr, which
+    round-trips), so a resumed case study is bit-identical.
     """
 
-    format = FORMAT_FIG10
-
-    def _header_record(self, config) -> dict:
-        return {
-            "format": self.format,
-            "kind": "header",
-            "config": case_config_to_dict(config),
-        }
-
-    def load(self) -> tuple[CaseStudyConfig | None, dict[Fig10Key, Fig10ShardResult]]:
-        """Read ``(config, {shard key: shard result})``; tolerate a torn tail."""
-        config = None
-        shards: dict[Fig10Key, Fig10ShardResult] = {}
-        for number, record in self.iter_records():
-            if record.get("kind") == "header":
-                if record.get("format") != self.format:
-                    raise ValueError(
-                        f"{self.path} is not a Fig 10 case-study store "
-                        f"(header format {record.get('format')!r}); give each "
-                        "exhibit its own --resume path"
-                    )
-                config = case_config_from_dict(record.get("config"))
-            elif record.get("kind") == "fig10":
-                key = (
-                    float(record["probability"]),
-                    int(record["code_index"]),
-                    int(record["count"]),
-                )
-                # Duplicate keys: last append wins, same as ShardStore.
-                shards[key] = (record["before"], record["after"], record["to_zero"])
-            elif record.get("kind") == "quarantine":
-                continue  # set-aside marker; the shard recomputes on resume
-            else:
-                raise ValueError(f"{self.path}: unknown shard record on line {number + 1}")
-        return config, shards
+    campaign = FIG10
 
     def append(
-        self, key: Fig10Key, result: Fig10ShardResult, seconds: float | None = None
+        self,
+        key: tuple[float, int, int],
+        result: Fig10ShardResult,
+        seconds: float | None = None,
     ) -> None:
-        """Durably append one completed shard (opens the store if needed).
-
-        ``seconds`` (the shard's recorded compute wall-clock) rides
-        along for the summary's coverage/ETA math; :meth:`load` ignores
-        it, so stores with and without timings resume identically.
-        """
-        if self._handle is None:
-            self.open()
-        probability, code_index, count = key
+        """Durably append one completed shard (opens the store if needed)."""
         before, after, to_zero = result
         record = {
-            "kind": "fig10",
-            "probability": probability,
-            "code_index": code_index,
-            "count": count,
+            "kind": FIG10.kind,
+            **FIG10.key_record(key),
             "before": before,
             "after": after,
             "to_zero": to_zero,
         }
-        if seconds is not None:
-            record["seconds"] = seconds
-        self._write_record(record)
-
-    def append_quarantine(self, key: Fig10Key) -> None:
-        """Durably record that a run set this case-study shard aside."""
-        if self._handle is None:
-            self.open()
-        probability, code_index, count = key
-        self._write_record(
-            {
-                "kind": "quarantine",
-                "probability": float(probability),
-                "code_index": int(code_index),
-                "count": int(count),
-            }
-        )
-
-
-#: Key of one fleet shard: (start chip, stop chip, slice index, slices).
-FleetKey = tuple[int, int, int, int]
+        self._append(record, seconds)
 
 
 class FleetStore(JsonlStore):
-    """Append-only JSONL stream of completed fleet shards.
+    """Completed fleet shards of ``fleet.run(..., resume=PATH)``.
 
-    The fleet twin of :class:`Fig10Store`: the first line is a
-    ``repro-fleet-v1`` header carrying the
-    :class:`~repro.experiments.config.FleetConfig`, and every following
-    line is one completed :class:`~repro.experiments.fleet.FleetShard`
-    payload — the per-word identified sets of a chip range or of one
-    heavy chip's cell slice, self-describing via the shard's ``(start,
-    stop, slice_index, num_slices)`` coordinates.  ``fleet.run(...,
-    resume=PATH)`` streams each shard here as backends deliver it and
-    skips persisted keys on restart; slice payloads merge associatively
-    regardless of arrival order, so a killed campaign resumes
-    bit-identically.
+    Slice payloads merge associatively regardless of arrival order, so
+    a killed campaign resumes bit-identically.
     """
 
-    format = FORMAT_FLEET
+    campaign = FLEET
 
-    def _header_record(self, config) -> dict:
-        return {
-            "format": self.format,
-            "kind": "header",
-            "config": fleet_config_to_dict(config),
-        }
-
-    def load(self) -> tuple[FleetConfig | None, dict[FleetKey, dict]]:
-        """Read ``(config, {shard key: payload})``; tolerate a torn tail."""
-        config = None
-        shards: dict[FleetKey, dict] = {}
-        for number, record in self.iter_records():
-            if record.get("kind") == "header":
-                if record.get("format") != self.format:
-                    raise ValueError(
-                        f"{self.path} is not a fleet store (header format "
-                        f"{record.get('format')!r}); give each exhibit its "
-                        "own --resume path"
-                    )
-                config = fleet_config_from_dict(record.get("config"))
-            elif record.get("kind") == "fleet":
-                key = (
-                    int(record["start"]),
-                    int(record["stop"]),
-                    int(record["slice_index"]),
-                    int(record["num_slices"]),
-                )
-                # Duplicate keys: last append wins, same as ShardStore.
-                shards[key] = {"chips": record["chips"]}
-            elif record.get("kind") == "quarantine":
-                continue  # set-aside marker; the shard recomputes on resume
-            else:
-                raise ValueError(f"{self.path}: unknown shard record on line {number + 1}")
-        return config, shards
-
-    def append(self, key: FleetKey, payload: dict, seconds: float | None = None) -> None:
+    def append(
+        self, key: tuple[int, int, int, int], payload: dict, seconds: float | None = None
+    ) -> None:
         """Durably append one completed fleet shard (opens if needed)."""
-        if self._handle is None:
-            self.open()
-        start, stop, slice_index, num_slices = key
-        record = {
-            "kind": "fleet",
-            "start": int(start),
-            "stop": int(stop),
-            "slice_index": int(slice_index),
-            "num_slices": int(num_slices),
-            "chips": payload["chips"],
-        }
-        if seconds is not None:
-            record["seconds"] = seconds
-        self._write_record(record)
-
-    def append_quarantine(self, key: FleetKey) -> None:
-        """Durably record that a run set this fleet shard aside."""
-        if self._handle is None:
-            self.open()
-        start, stop, slice_index, num_slices = key
-        self._write_record(
-            {
-                "kind": "quarantine",
-                "start": int(start),
-                "stop": int(stop),
-                "slice_index": int(slice_index),
-                "num_slices": int(num_slices),
-            }
-        )
+        record = {"kind": FLEET.kind, **FLEET.key_record(key), "chips": payload["chips"]}
+        self._append(record, seconds)

@@ -1,8 +1,8 @@
 """Streaming maintenance toolbox for JSONL shard stores: ``repro store``.
 
-Long campaigns leave JSONL stores behind — sweep-cell stores from
-``run_sweep(..., resume=PATH)`` and case-study stores from
-``fig10.run(..., resume=PATH)`` — and paper-scale ones grow large:
+Long campaigns leave JSONL stores behind — one per ``--resume`` run of
+any campaign kind in :data:`repro.experiments.store.CAMPAIGNS` (sweep,
+Fig 10 case study, fleet) — and paper-scale ones grow large:
 superseded records accumulate when a cell is recomputed (duplicate keys
 are resolved last-wins on load), kills leave torn tail lines, and
 multi-machine campaigns produce one store per server.  This module is
@@ -12,8 +12,7 @@ the operator's toolbox for those files, exposed as
 * ``summary`` — one streaming pass: record counts, distinct keys,
   superseded duplicates, torn tail, config, total cell seconds — plus
   the campaign's *grid coverage*: the header config determines the full
-  grid (sweep stores: error counts × probabilities × profilers;
-  case-study stores: probabilities × codes × strata), so the summary
+  grid (the campaign's declared dimensions), so the summary
   reports cells done / cells total, an ETA extrapolated from the
   recorded per-cell seconds (single-worker compute; divide by the fleet
   size for wall-clock), the derived grid dimensions (so two stores that
@@ -37,27 +36,30 @@ the operator's toolbox for those files, exposed as
 Every operation streams records line by line through
 :meth:`~repro.experiments.store.JsonlStore.iter_records`: peak memory
 holds one record plus the per-key line index, never a full sweep.
-Loading semantics are shared with the stores themselves — what
-``compact`` keeps is exactly what ``ShardStore.load`` /
-``Fig10Store.load`` would return.
+Records are keyed by the campaign the store's header format declares
+(a headerless store's records by their own kind), so what ``compact``
+keeps is exactly what :meth:`~repro.experiments.store.JsonlStore.load`
+would return.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.experiments.monitor import estimate_eta, format_eta, format_grid, grid_shape
+from repro.experiments.monitor import estimate_eta, format_eta, format_grid
 from repro.experiments.store import (
-    FORMAT_FIG10,
-    FORMAT_FLEET,
-    FORMAT_V1,
-    FORMAT_V2,
+    CAMPAIGNS,
+    CAMPAIGNS_BY_FORMAT,
+    CAMPAIGNS_BY_KIND,
+    CampaignSchema,
     JsonlStore,
+    unknown_record,
 )
 
 __all__ = [
@@ -70,82 +72,55 @@ __all__ = [
     "store_main",
 ]
 
-#: Record key kinds understood by the toolbox.
-_STORE_FORMATS = (FORMAT_V2, FORMAT_FIG10, FORMAT_FLEET)
 
+def _record_key(
+    path: Path, number: int, record: dict, campaign: CampaignSchema | None
+) -> tuple:
+    """Identity of a record for last-wins dedup (headers collapse to one).
 
-def _record_key(path: Path, number: int, record: dict) -> tuple:
-    """Identity of a record for last-wins dedup (headers collapse to one)."""
+    ``campaign`` is the one the store's header declared (``None`` before
+    a header, when a completed record's own kind names it).  A
+    quarantine marker carries exactly the key fields of the record it
+    stands in for; prefixing the record kind keeps it distinct from (and
+    mappable onto) the completed record's key.
+    """
     kind = record.get("kind")
     if kind == "header":
         return ("header",)
-    if kind == "cell":
-        return (
-            "cell",
-            int(record["error_count"]),
-            float(record["probability"]),
-            str(record["profiler"]),
-        )
-    if kind == "fig10":
-        return (
-            "fig10",
-            float(record["probability"]),
-            int(record["code_index"]),
-            int(record["count"]),
-        )
-    if kind == "fleet":
-        return (
-            "fleet",
-            int(record["start"]),
-            int(record["stop"]),
-            int(record["slice_index"]),
-            int(record["num_slices"]),
-        )
-    if kind == "quarantine":
-        # The marker carries exactly the key fields of the record it
-        # stands in for; prefixing the resolved key keeps it distinct
-        # from (and mappable onto) the completed record's key.
-        if "error_count" in record:
-            return (
-                "quarantine",
-                "cell",
-                int(record["error_count"]),
-                float(record["probability"]),
-                str(record["profiler"]),
-            )
-        if "start" in record:
-            return (
-                "quarantine",
-                "fleet",
-                int(record["start"]),
-                int(record["stop"]),
-                int(record["slice_index"]),
-                int(record["num_slices"]),
-            )
-        return (
-            "quarantine",
-            "fig10",
-            float(record["probability"]),
-            int(record["code_index"]),
-            int(record["count"]),
-        )
-    if record.get("format") in (FORMAT_V1, FORMAT_V2) and "cells" in record:
-        raise ValueError(
-            f"{path} is a sweep_to_json document, not a JSONL shard store; "
-            "load it with sweep_from_json instead"
-        )
-    raise ValueError(f"{path}: unknown shard record on line {number + 1}")
+    if kind == "quarantine" and campaign is not None:
+        return ("quarantine", campaign.kind, *campaign.key_of(record))
+    owner = campaign or CAMPAIGNS_BY_KIND.get(kind)
+    if owner is not None and kind == owner.kind:
+        return (kind, *owner.key_of(record))
+    raise unknown_record(path, number, record)
 
 
-def _check_header(path: Path, record: dict) -> tuple[str, dict | None]:
-    """Validate a header record; return ``(format, config dict or None)``."""
-    store_format = record.get("format")
-    if store_format not in _STORE_FORMATS:
+def _check_header(path: Path, record: dict) -> CampaignSchema:
+    """The campaign a header record's format declares (or raise)."""
+    campaign = CAMPAIGNS_BY_FORMAT.get(record.get("format"))
+    if campaign is None:
         raise ValueError(
-            f"{path}: unknown store format {store_format!r} "
-            f"(expected one of {', '.join(_STORE_FORMATS)})"
+            f"{path}: unknown store format {record.get('format')!r} "
+            f"(expected one of {', '.join(CAMPAIGNS_BY_FORMAT)})"
         )
-    return store_format, record.get("config")
+    return campaign
+
+
+def _keyed_records(path: Path, include_torn: bool = False):
+    """Stream ``(line number, record, key)``; a torn tail yields ``None``s.
+
+    Headers are checked as they pass, and each later record is keyed by
+    the campaign its store's header declared.
+    """
+    campaign = None
+    for number, record in JsonlStore(path).iter_records(include_torn=include_torn):
+        if record is None:
+            yield number, None, None
+            continue
+        key = _record_key(path, number, record, campaign)
+        if key == ("header",):
+            campaign = _check_header(path, record)
+        yield number, record, key
 
 
 @dataclass
@@ -157,7 +132,7 @@ class StoreSummary:
     format: str | None
     config: dict | None
     records: int
-    #: Distinct keys per record kind (``cell`` / ``fig10``).
+    #: Distinct completed keys per record kind.
     distinct: dict = field(default_factory=dict)
     #: Records superseded by a later append of the same key.
     superseded: int = 0
@@ -191,7 +166,7 @@ class StoreSummary:
         """Distinct completed work units, regardless of record kind."""
         if self.units_done is not None:
             return self.units_done
-        return sum(self.distinct.get(kind, 0) for kind in ("cell", "fig10", "fleet"))
+        return sum(self.distinct.values())
 
 
 def summarize(path: str | os.PathLike) -> StoreSummary:
@@ -215,14 +190,13 @@ def summarize(path: str | os.PathLike) -> StoreSummary:
     # loading would count; one streaming pass, O(distinct keys) memory.
     winning: dict[tuple, tuple[float, int]] = {}
     markers: set[tuple] = set()
-    for number, record in JsonlStore(path).iter_records(include_torn=True):
+    for _, record, key in _keyed_records(path, include_torn=True):
         if record is None:
             summary.torn_tail = True
             continue
-        key = _record_key(path, number, record)
         summary.records += 1
         if key == ("header",):
-            summary.format, summary.config = _check_header(path, record)
+            summary.format, summary.config = record["format"], record.get("config")
             continue
         if key[0] == "quarantine":
             if key in markers:
@@ -246,22 +220,13 @@ def summarize(path: str | os.PathLike) -> StoreSummary:
     # record already counts the cell done exactly once).
     summary.quarantined = sorted(key[2:] for key in markers if key[1:] not in winning)
     summary.healed = sorted(key[2:] for key in markers if key[1:] in winning)
-    if any(key[0] == "fleet" for key in winning):
-        # A fleet record is a shard, not a chip: a range shard completes
-        # its whole chip span, but a heavy chip is done only when every
-        # slice of its (start, stop, num_slices) group has landed.
-        groups: dict[tuple, set] = {}
-        for key in winning:
-            if key[0] == "fleet":
-                groups.setdefault((key[1], key[2], key[4]), set()).add(key[3])
-        summary.units_done = sum(
-            stop - start
-            for (start, stop, num_slices), slices in groups.items()
-            if len(slices) == num_slices
-        )
-    shape = grid_shape(summary.config)
-    if shape is not None:
-        dims, summary.cells_total = shape
+    campaign = CAMPAIGNS_BY_FORMAT.get(summary.format) or next(
+        (CAMPAIGNS_BY_KIND[key[0]] for key in winning), None
+    )
+    if campaign is not None and campaign.units_done is not None:
+        summary.units_done = campaign.units_done(key[1:] for key in winning)
+    if campaign is not None and summary.config is not None:
+        dims, summary.cells_total = campaign.grid_shape(summary.config)
         summary.grid = format_grid(dims, summary.cells_total)
         summary.eta_seconds = estimate_eta(
             summary.cells_done, summary.cells_total, summary.total_seconds
@@ -278,10 +243,9 @@ def render_summary(summary: StoreSummary) -> str:
         lines.append(f"config   {knobs}")
     else:
         lines.append("config   (none recorded)")
-    labels = {"cell": "sweep cells", "fig10": "fig10 shards", "fleet": "fleet shards"}
-    for kind in ("cell", "fig10", "fleet"):
-        if kind in summary.distinct:
-            lines.append(f"records  {summary.distinct[kind]} {labels[kind]}")
+    for campaign in CAMPAIGNS:
+        if campaign.kind in summary.distinct:
+            lines.append(f"records  {summary.distinct[campaign.kind]} {campaign.label}")
     if not summary.distinct:
         lines.append("records  0 (header only)")
     if summary.grid:
@@ -320,6 +284,32 @@ def render_summary(summary: StoreSummary) -> str:
     return "\n".join(lines)
 
 
+def _retire_resolved_markers(winners: dict) -> int:
+    """Drop the quarantine markers a completed record of their key resolved."""
+    resolved = [key for key in winners if key[0] == "quarantine" and key[1:] in winners]
+    for key in resolved:
+        del winners[key]
+    return len(resolved)
+
+
+def _write_atomically(destination: Path, suffix: str, records) -> int:
+    """Replace ``destination`` by ``records`` (write, fsync, rename); count them.
+
+    Records are re-emitted as canonical ``json.dumps`` lines, which is
+    what makes compacting a compacted store a byte-identical no-op.
+    """
+    temporary = destination.with_name(destination.name + suffix)
+    count = 0
+    with open(temporary, "w", encoding="utf-8") as handle:
+        for record in records:
+            handle.write(json.dumps(record) + "\n")
+            count += 1
+        handle.flush()
+        os.fsync(handle.fileno())
+    os.replace(temporary, destination)
+    return count
+
+
 @dataclass
 class CompactStats:
     """What :func:`compact` kept and dropped."""
@@ -348,13 +338,11 @@ def compact(path: str | os.PathLike, output: str | os.PathLike | None = None) ->
     winners: dict[tuple, int] = {}
     dropped = 0
     torn = False
-    for number, record in JsonlStore(path).iter_records(include_torn=True):
+    for number, record, key in _keyed_records(path, include_torn=True):
         if record is None:
             torn = True
             continue
-        key = _record_key(path, number, record)
         if key == ("header",):
-            _check_header(path, record)
             # The header is identity, not data: keep the first.
             if key in winners:
                 dropped += 1
@@ -367,21 +355,12 @@ def compact(path: str | os.PathLike, output: str | os.PathLike | None = None) ->
     # A quarantine marker whose shard later completed is resolved —
     # the targeted re-run happened — so compaction retires it; markers
     # still awaiting their re-run survive the rewrite.
-    for key in [k for k in winners if k[0] == "quarantine" and k[1:] in winners]:
-        del winners[key]
-        dropped += 1
-    temporary = destination.with_name(destination.name + ".compact-tmp")
-    kept = 0
-    with open(temporary, "w", encoding="utf-8") as handle:
-        for number, record in JsonlStore(path).iter_records():
-            key = _record_key(path, number, record)
-            if winners.get(key) != number:
-                continue
-            handle.write(json.dumps(record) + "\n")
-            kept += 1
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(temporary, destination)
+    dropped += _retire_resolved_markers(winners)
+    kept = _write_atomically(
+        destination,
+        ".compact-tmp",
+        (record for number, record, key in _keyed_records(path) if winners.get(key) == number),
+    )
     return CompactStats(
         path=str(path),
         output=str(destination),
@@ -427,13 +406,12 @@ def merge(
     dropped = 0
     torn_tails = 0
     for file_index, path in enumerate(paths):
-        for number, record in JsonlStore(path).iter_records(include_torn=True):
+        for number, record, key in _keyed_records(path, include_torn=True):
             if record is None:
                 torn_tails += 1
                 continue
-            key = _record_key(path, number, record)
             if key == ("header",):
-                store_format, config = _check_header(path, record)
+                store_format, config = record["format"], record.get("config")
                 if merged_format is not None and store_format != merged_format:
                     raise ValueError(
                         f"cannot merge {path} ({store_format}) into a "
@@ -456,30 +434,15 @@ def merge(
     # Same marker semantics as compact: a quarantine marker resolved by
     # a completed record in *any* input (the targeted-re-run-on-another-
     # machine workflow) does not survive the merge.
-    for key in [k for k in winners if k[0] == "quarantine" and k[1:] in winners]:
-        del winners[key]
-        dropped += 1
-    temporary = output.with_name(output.name + ".merge-tmp")
-    kept = 0
-    with open(temporary, "w", encoding="utf-8") as handle:
-        handle.write(
-            json.dumps(
-                {"format": merged_format, "kind": "header", "config": merged_config}
-            )
-            + "\n"
-        )
-        for file_index, path in enumerate(paths):
-            for number, record in JsonlStore(path).iter_records():
-                key = _record_key(path, number, record)
-                if key == ("header",):
-                    continue
-                if winners.get(key) != (file_index, number):
-                    continue
-                handle.write(json.dumps(record) + "\n")
-                kept += 1
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(temporary, output)
+    dropped += _retire_resolved_markers(winners)
+    header = {"format": merged_format, "kind": "header", "config": merged_config}
+    winning = (
+        record
+        for file_index, path in enumerate(paths)
+        for number, record, key in _keyed_records(path)
+        if key != ("header",) and winners.get(key) == (file_index, number)
+    )
+    kept = _write_atomically(output, ".merge-tmp", itertools.chain([header], winning)) - 1
     return MergeStats(
         inputs=[str(p) for p in paths],
         output=str(output),

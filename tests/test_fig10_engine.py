@@ -22,7 +22,7 @@ import pytest
 
 from repro.experiments import fig10
 from repro.experiments.config import CaseStudyConfig
-from repro.experiments.runner import execute_shards
+from repro.experiments.backends import resolve_backend
 from repro.experiments.store import Fig10Store
 
 CONFIG = CaseStudyConfig(
@@ -101,9 +101,9 @@ class TestResume:
         store_path = tmp_path / "fig10.jsonl"
         resumed = fig10.run(CONFIG, resume=str(store_path))
         assert resumed == serial
-        config, shards = Fig10Store(store_path).load()
-        assert config == CONFIG
-        assert len(shards) == len(fig10.shard_case_study(CONFIG))
+        loaded = Fig10Store(store_path).load()
+        assert loaded.config == CONFIG
+        assert len(loaded.payloads) == len(fig10.shard_case_study(CONFIG))
 
     def test_resume_from_partial_store_is_bit_identical(self, serial, tmp_path):
         """Simulated kill: keep the header plus a prefix of the records
@@ -202,15 +202,15 @@ class TestKillAndResume:
         assert resumed.stdout == reference.stdout
 
 
-class TestExecuteShards:
+class TestResolvedBackendMap:
     def test_serial_and_pool_agree(self):
         shards = list(range(7))
-        serial = execute_shards(_square, shards, jobs=None)
-        pooled = execute_shards(_square, shards, jobs=2)
+        serial = resolve_backend(None, None).map(_square, shards, chunksize=1)
+        pooled = resolve_backend(None, 2).map(_square, shards, chunksize=1)
         assert serial == pooled == [n * n for n in shards]
 
     def test_single_shard_short_circuits_pool(self):
-        assert execute_shards(_square, [3], jobs=4) == [9]
+        assert resolve_backend(None, 4).map(_square, [3], chunksize=1) == [9]
 
 
 def _square(n: int) -> int:

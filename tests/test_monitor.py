@@ -24,10 +24,10 @@ from repro.experiments.backends import (
     SocketBackend,
     run_worker,
 )
-from repro.experiments.config import CaseStudyConfig, SweepConfig
+from repro.experiments import fleet
+from repro.experiments.config import CaseStudyConfig, FleetConfig, SweepConfig
 from repro.experiments.monitor import (
     STATUS_FORMAT,
-    STATUS_FORMAT_V1,
     ThroughputHistory,
     ProgressReporter,
     StatusServer,
@@ -64,6 +64,17 @@ CASE_CONFIG = CaseStudyConfig(
     profilers=("Naive", "HARP-U"),
 )
 
+FLEET_CONFIG = FleetConfig(
+    num_chips=12,
+    k=16,
+    num_codes=2,
+    num_rounds=16,
+    rows=8,
+    words_per_row=2,
+    chips_per_shard=4,
+    slice_words=4,
+)
+
 SOCKET_TIMEOUT = 120.0
 
 
@@ -74,10 +85,12 @@ SOCKET_TIMEOUT = 120.0
 
 class TestGridShape:
     def test_sweep_config_object_and_header_dict_agree(self):
-        from repro.experiments.store import config_to_dict
+        """The live driver looks the campaign up by config class, a store
+        at rest by header format; both read one declaration."""
+        from repro.experiments.store import CAMPAIGNS_BY_FORMAT, config_to_dict
 
         from_object = grid_shape(CONFIG)
-        from_dict = grid_shape(config_to_dict(CONFIG))
+        from_dict = CAMPAIGNS_BY_FORMAT["repro-sweep-v2"].grid_shape(config_to_dict(CONFIG))
         assert from_object == from_dict
         dims, total = from_object
         assert total == 2 * 2 * 2
@@ -103,6 +116,12 @@ class TestGridShape:
         assert "2 error counts" in text
         assert "2 profilers" in text
         assert text.endswith("= 8 cells")
+
+
+    def test_fleet_config_counts_chips(self):
+        dims, total = grid_shape(FLEET_CONFIG)
+        assert dims == [("chips", FLEET_CONFIG.num_chips)]
+        assert total == FLEET_CONFIG.num_chips
 
 
 class TestEta:
@@ -195,6 +214,39 @@ class TestProgressReporter:
 
 def _serve_snapshot(snapshot: dict) -> StatusServer:
     return StatusServer(("127.0.0.1", 0), lambda: snapshot).start()
+
+
+class TestResumedProgressSeconds:
+    """A resumed run's opening progress line carries the seconds its
+    store recorded, for every campaign kind."""
+
+    RUNS = {
+        "sweep": (lambda **kw: run_sweep(CONFIG, **kw), "cells"),
+        "fig10": (lambda **kw: fig10.run(CASE_CONFIG, **kw), "shards"),
+        "fleet": (lambda **kw: fleet.run(FLEET_CONFIG, **kw), "shards"),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(RUNS))
+    def test_opening_line_reports_recorded_seconds(self, kind, tmp_path, capsys):
+        run, unit = self.RUNS[kind]
+        path = tmp_path / f"{kind}.jsonl"
+        run(resume=str(path))
+        # Pin every record's seconds so the expected sum is exact.
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        done = 0
+        for record in records:
+            if "seconds" in record:
+                record["seconds"] = 1.25
+                done += 1
+        assert done > 1
+        path.write_text("".join(json.dumps(record) + "\n" for record in records))
+        capsys.readouterr()
+        run(resume=str(path), progress=0.0)
+        first = capsys.readouterr().err.splitlines()[0]
+        assert first == (
+            f"progress {done}/{done} {unit} (100.0%) · "
+            f"{1.25 * done:.1f} cell-seconds recorded"
+        )
 
 
 class TestStatusProtocol:
@@ -301,18 +353,17 @@ class TestStatusProtocol:
 class TestStatusV2:
     """The repro-status-v2 bump: additive fields, v1 stays readable."""
 
-    def test_v1_snapshot_still_reads_and_renders(self, capsys):
-        """Compat promise of the format bump: ``python -m repro status``
-        pointed at a pre-history server keeps working unchanged."""
-        v1 = {**TestStatusProtocol.SNAPSHOT, "format": STATUS_FORMAT_V1}
+    def test_v1_snapshot_rejected_naming_expected_format(self, capsys):
+        """The retired ``repro-status-v1`` schema is refused with a typed
+        error naming the format the client expects, on the API and CLI."""
+        v1 = {**TestStatusProtocol.SNAPSHOT, "format": "repro-status-v1"}
         server = _serve_snapshot(v1)
         try:
-            assert read_status(server.address) == v1
+            with pytest.raises(ValueError, match="expected repro-status-v2"):
+                read_status(server.address)
             host, port = server.address
-            assert status_main([f"{host}:{port}"]) == 0
-            out = capsys.readouterr().out
-            assert "fleet    2 worker(s)" in out
-            assert "5/9 done" in out
+            assert status_main([f"{host}:{port}"]) == 1
+            assert "expected repro-status-v2" in capsys.readouterr().err
         finally:
             server.close()
 
@@ -499,7 +550,7 @@ class TestRunSweepQuarantine:
         summary = summarize(store_path)
         assert summary.quarantined == [skipped_key]
         assert summary.cells_done == len(reference.cells) - 1
-        assert ShardStore(store_path).keys() == set(result.cells)
+        assert set(ShardStore(store_path).load().payloads) == set(result.cells)
 
         # Targeted re-run: only the quarantined cell computes, and the
         # merged result is bit-identical to the uninterrupted reference.

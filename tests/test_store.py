@@ -5,10 +5,14 @@ from dataclasses import replace
 
 import pytest
 
-from repro.experiments.config import SweepConfig
+from repro.experiments.config import CaseStudyConfig, FleetConfig, SweepConfig
 from repro.experiments.fig6 import coverage_curve
 from repro.experiments.runner import run_sweep
 from repro.experiments.store import (
+    CAMPAIGNS,
+    FIG10,
+    Fig10Store,
+    FleetStore,
     ShardStore,
     config_from_dict,
     config_to_dict,
@@ -131,25 +135,28 @@ class TestConfigRoundtrip:
     """repro-sweep-v2 documents are self-describing."""
 
     def test_config_dict_roundtrip(self):
-        assert config_from_dict(config_to_dict(CONFIG)) == CONFIG
+        assert config_from_dict(config_to_dict(CONFIG), SweepConfig) == CONFIG
+
+    def test_every_campaign_config_roundtrips(self):
+        for config in (CONFIG, CaseStudyConfig(num_codes=3), FleetConfig(num_chips=7)):
+            assert config_from_dict(config_to_dict(config), type(config)) == config
 
     def test_non_sweep_config_serializes_as_none(self):
         assert config_to_dict(("opaque", "config")) is None
-        assert config_from_dict(None) is None
+        assert config_from_dict(None, SweepConfig) is None
 
     def test_document_restores_config(self, sweep):
         restored = sweep_from_json(sweep_to_json(sweep))
         assert restored.config == CONFIG
 
-    def test_v1_documents_still_load(self, sweep):
+    def test_v1_document_rejected_naming_expected_format(self, sweep):
+        """The retired config-less ``repro-sweep-v1`` document is refused
+        with a typed error that names the format it should have been."""
         payload = json.loads(sweep_to_json(sweep))
         payload["format"] = "repro-sweep-v1"
         del payload["config"]
-        restored = sweep_from_json(json.dumps(payload))
-        assert restored.config is None
-        assert restored.cells.keys() == sweep.cells.keys()
-        for key in sweep.cells:
-            assert restored.cells[key].words == sweep.cells[key].words
+        with pytest.raises(ValueError, match="not a repro-sweep-v2 sweep document"):
+            sweep_from_json(json.dumps(payload))
 
 
 class TestShardStore:
@@ -157,84 +164,80 @@ class TestShardStore:
         store = ShardStore(tmp_path / "cells.jsonl")
         with store.open(CONFIG):
             for key, cell in sweep.cells.items():
-                store.append(cell, sweep.timings.get(key))
+                store.append(key, cell, sweep.timings.get(key))
         loaded = store.load()
         assert loaded.config == CONFIG
-        assert loaded.cells.keys() == sweep.cells.keys()
+        assert loaded.payloads.keys() == sweep.cells.keys()
         for key in sweep.cells:
-            assert loaded.cells[key].words == sweep.cells[key].words
-        assert loaded.timings == pytest.approx(sweep.timings)
+            assert loaded.payloads[key].words == sweep.cells[key].words
+        assert loaded.seconds == pytest.approx(sweep.timings)
 
     def test_missing_file_loads_empty(self, tmp_path):
         store = ShardStore(tmp_path / "absent.jsonl")
         assert not store.exists()
         loaded = store.load()
-        assert loaded.cells == {} and loaded.config is None
+        assert loaded.payloads == {} and loaded.config is None
 
     def test_truncated_final_line_tolerated(self, sweep, tmp_path):
         path = tmp_path / "cells.jsonl"
         store = ShardStore(path)
         with store.open(CONFIG):
             for key, cell in sweep.cells.items():
-                store.append(cell, sweep.timings.get(key))
+                store.append(key, cell, sweep.timings.get(key))
         intact = store.load()
         # Crash mid-append: the final record is cut somewhere inside.
         text = path.read_text()
         path.write_text(text[: len(text) - 40])
         survivors = ShardStore(path).load()
-        assert len(survivors.cells) == len(intact.cells) - 1
-        for key, cell in survivors.cells.items():
-            assert cell.words == intact.cells[key].words
+        assert len(survivors.payloads) == len(intact.payloads) - 1
+        for key, cell in survivors.payloads.items():
+            assert cell.words == intact.payloads[key].words
 
     def test_valid_tail_missing_newline_repaired_not_dropped(self, sweep, tmp_path):
         """A tear that ate only the final newline must not lose the record:
         load() parses it (so resume skips the cell), hence open() has to
         repair the terminator rather than truncate."""
         path = tmp_path / "cells.jsonl"
-        cells = list(sweep.cells.values())
+        (key0, cell0), (key1, cell1) = list(sweep.cells.items())[:2]
         store = ShardStore(path)
         with store.open(CONFIG):
-            store.append(cells[0])
-            store.append(cells[1])
+            store.append(key0, cell0)
+            store.append(key1, cell1)
         text = path.read_text()
         assert text.endswith("\n")
         path.write_text(text[:-1])  # tear exactly the terminator
-        assert len(ShardStore(path).keys()) == 2  # load still counts it
+        assert len(ShardStore(path).load().payloads) == 2  # load still counts it
         with ShardStore(path) as reopened:
             pass  # open() must repair, not trim
         loaded = ShardStore(path).load()
-        assert len(loaded.cells) == 2
-        assert loaded.cells[
-            (cells[1].error_count, cells[1].probability, cells[1].profiler)
-        ].words == cells[1].words
+        assert len(loaded.payloads) == 2
+        assert loaded.payloads[key1].words == cell1.words
 
     def test_newline_terminated_corrupt_tail_trimmed_on_append(self, sweep, tmp_path):
         """A crash can persist the tail's newline while losing earlier
         bytes of the record; appending must trim it exactly like load()
         skips it, or the next append buries corruption mid-file."""
         path = tmp_path / "cells.jsonl"
-        cells = list(sweep.cells.values())
+        (key0, cell0), (key1, cell1) = list(sweep.cells.items())[:2]
         store = ShardStore(path)
         with store.open(CONFIG):
-            store.append(cells[0])
-            store.append(cells[1])
+            store.append(key0, cell0)
+            store.append(key1, cell1)
         lines = path.read_text().splitlines()
         lines[-1] = lines[-1][:30]  # corrupt record, newline kept
         path.write_text("\n".join(lines) + "\n")
         with ShardStore(path) as reopened:
-            reopened.append(cells[1])
+            reopened.append(key1, cell1)
         loaded = ShardStore(path).load()  # must not raise mid-file corruption
-        assert len(loaded.cells) == 2
-        assert loaded.cells[
-            (cells[1].error_count, cells[1].probability, cells[1].profiler)
-        ].words == cells[1].words
+        assert len(loaded.payloads) == 2
+        assert loaded.payloads[key1].words == cell1.words
 
     def test_corrupt_middle_line_raises(self, sweep, tmp_path):
         path = tmp_path / "cells.jsonl"
         store = ShardStore(path)
         with store.open(CONFIG):
             for key, cell in sweep.cells.items():
-                store.append(cell, sweep.timings.get(key))
+                store.append(key, cell, sweep.timings.get(key))
         lines = path.read_text().splitlines()
         lines[1] = lines[1][:-20]  # torn record *before* the tail
         path.write_text("\n".join(lines) + "\n")
@@ -246,10 +249,12 @@ class TestShardStore:
         other = run_sweep(replace(CONFIG, seed=CONFIG.seed + 1))
         store = ShardStore(tmp_path / "cells.jsonl")
         with store.open(CONFIG):
-            store.append(sweep.cells[key])
-            store.append(other.cells[key])
+            store.append(key, sweep.cells[key], 1.5)
+            store.append(key, other.cells[key])
         loaded = store.load()
-        assert loaded.cells[key].words == other.cells[key].words
+        assert loaded.payloads[key].words == other.cells[key].words
+        # The winning record carries no seconds, so none are reported.
+        assert loaded.seconds == {}
 
 
 class TestResume:
@@ -260,7 +265,7 @@ class TestResume:
         result = run_sweep(CONFIG, resume=str(path))
         stored = ShardStore(path).load()
         assert stored.config == CONFIG
-        assert stored.cells.keys() == result.cells.keys()
+        assert stored.payloads.keys() == result.cells.keys()
 
     def test_interrupted_sweep_resumes_bit_identical(self, sweep, tmp_path):
         path = tmp_path / "resume.jsonl"
@@ -269,14 +274,14 @@ class TestResume:
         # exactly what a kill -9 mid-append leaves behind.
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:-1]) + "\n" + lines[-1][:25])
-        before = ShardStore(path).keys()
+        before = set(ShardStore(path).load().payloads)
         resumed = run_sweep(CONFIG, resume=str(path))
         assert len(before) == len(sweep.cells) - 1
         assert list(resumed.cells) == list(sweep.cells)  # grid order restored
         for key in sweep.cells:
             assert resumed.cells[key].words == sweep.cells[key].words, key
         # The store now holds the full grid for the next resume.
-        assert ShardStore(path).keys() == set(sweep.cells)
+        assert set(ShardStore(path).load().payloads) == set(sweep.cells)
 
     def test_complete_store_skips_all_work(self, sweep, tmp_path):
         path = tmp_path / "resume.jsonl"
@@ -304,7 +309,7 @@ class TestResume:
         path = tmp_path / "foreign.jsonl"
         store = ShardStore(path)
         with store.open():  # header with null config
-            store.append(next(iter(sweep.cells.values())))
+            store.append(*next(iter(sweep.cells.items())))
         with pytest.raises(ValueError, match="does not record the sweep config"):
             run_sweep(CONFIG, resume=str(path))
 
@@ -351,7 +356,7 @@ class TestResume:
 
 
 class TestFig10Store:
-    """The case-study twin of ShardStore: record round-trip and guards."""
+    """The case-study store: record round-trip."""
 
     RESULT = (
         {"Naive": [[0.5, 0.25], [0.125, 0.0]]},
@@ -360,54 +365,107 @@ class TestFig10Store:
     )
 
     def test_roundtrip(self, tmp_path):
-        from repro.experiments.config import CaseStudyConfig
-        from repro.experiments.store import Fig10Store
-
         config = CaseStudyConfig(num_codes=2, words_per_stratum=2)
         path = tmp_path / "fig10.jsonl"
         store = Fig10Store(path)
         with store.open(config):
-            store.append((0.75, 1, 2), self.RESULT)
-        loaded_config, shards = Fig10Store(path).load()
-        assert loaded_config == config
-        assert shards == {(0.75, 1, 2): self.RESULT}
+            store.append((0.75, 1, 2), self.RESULT, seconds=0.25)
+        loaded = Fig10Store(path).load()
+        assert loaded.config == config
+        assert loaded.payloads == {(0.75, 1, 2): self.RESULT}
+        assert loaded.seconds == {(0.75, 1, 2): 0.25}
 
     def test_duplicate_key_last_append_wins(self, tmp_path):
-        from repro.experiments.store import Fig10Store
-
         path = tmp_path / "fig10.jsonl"
         store = Fig10Store(path)
         newer = ({"Naive": [[0.0, 0.0]]}, {"Naive": [[0.0, 0.0]]}, {"Naive": [1]})
         with store.open(None):
             store.append((0.5, 0, 2), self.RESULT)
             store.append((0.5, 0, 2), newer)
-        _, shards = Fig10Store(path).load()
-        assert shards == {(0.5, 0, 2): newer}
+        assert Fig10Store(path).load().payloads == {(0.5, 0, 2): newer}
 
     def test_torn_tail_tolerated(self, tmp_path):
-        from repro.experiments.store import Fig10Store
-
         path = tmp_path / "fig10.jsonl"
         store = Fig10Store(path)
         with store.open(None):
             store.append((0.5, 0, 2), self.RESULT)
         with open(path, "a") as handle:
             handle.write('{"kind": "fig10", "probab')
-        _, shards = Fig10Store(path).load()
-        assert set(shards) == {(0.5, 0, 2)}
+        assert set(Fig10Store(path).load().payloads) == {(0.5, 0, 2)}
 
     def test_sweep_store_loading_fig10_file_rejected(self, tmp_path):
-        from repro.experiments.store import Fig10Store
-
         path = tmp_path / "fig10.jsonl"
         Fig10Store(path).open(None).close()
         with pytest.raises(ValueError, match="Fig 10 case-study store"):
             ShardStore(path).load()
 
     def test_fig10_store_loading_sweep_file_rejected(self, tmp_path):
-        from repro.experiments.store import Fig10Store
-
         path = tmp_path / "sweep.jsonl"
         ShardStore(path).open(None).close()
         with pytest.raises(ValueError, match="not a Fig 10 case-study store"):
             Fig10Store(path).load()
+
+
+STORES = (ShardStore, Fig10Store, FleetStore)
+
+
+class TestHeaderMatrix:
+    """Every store refuses every header that is not its own format."""
+
+    @pytest.mark.parametrize(
+        "reader, writer",
+        [(r, w) for r in STORES for w in STORES if r is not w],
+        ids=lambda store: store.__name__,
+    )
+    def test_foreign_campaign_file_rejected(self, tmp_path, reader, writer):
+        path = tmp_path / "foreign.jsonl"
+        writer(path).open(None).close()
+        with pytest.raises(ValueError) as error:
+            reader(path).load()
+        message = str(error.value)
+        assert writer.campaign.store_name in message
+        assert f"not a {reader.campaign.store_name}" in message
+        assert repr(reader.campaign.format) in message
+
+    @pytest.mark.parametrize("reader", STORES, ids=lambda store: store.__name__)
+    def test_unknown_format_rejected(self, tmp_path, reader):
+        """A header of an unknown format must not pass as an empty store,
+        or a resume would append its records into the foreign file."""
+        path = tmp_path / "bogus.jsonl"
+        path.write_text('{"format": "repro-bogus-v9", "kind": "header", "config": null}\n')
+        with pytest.raises(ValueError, match="repro-bogus-v9") as error:
+            reader(path).load()
+        assert repr(reader.campaign.format) in str(error.value)
+
+    def test_bogus_header_never_gets_sweep_cells_appended(self, tmp_path):
+        path = tmp_path / "bogus.jsonl"
+        text = '{"format": "repro-bogus-v9", "kind": "header", "config": null}\n'
+        path.write_text(text)
+        with pytest.raises(ValueError, match="not a sweep shard store"):
+            run_sweep(CONFIG, resume=str(path))
+        assert path.read_text() == text
+
+    def test_own_format_loads(self, tmp_path):
+        for store_class in STORES:
+            path = tmp_path / f"{store_class.__name__}.jsonl"
+            store_class(path).open(None).close()
+            assert store_class(path).load() == (None, {}, {})
+
+    def test_declarations_are_distinct(self):
+        for field in ("format", "kind", "config_class"):
+            values = [getattr(campaign, field) for campaign in CAMPAIGNS]
+            assert len(set(values)) == len(CAMPAIGNS), field
+        assert [store.campaign for store in STORES] == list(CAMPAIGNS)
+
+
+class TestQuarantineMarkers:
+    """One schema-driven marker writer serves every store."""
+
+    def test_marker_carries_exactly_the_key_fields(self, tmp_path):
+        path = tmp_path / "fig10.jsonl"
+        with Fig10Store(path) as store:
+            store.append_quarantine((0.5, 1, 3))
+        marker = json.loads(path.read_text().splitlines()[-1])
+        assert marker == {"kind": "quarantine", "probability": 0.5, "code_index": 1, "count": 3}
+        assert list(marker)[1:] == [name for name, _ in FIG10.key_fields]
+        assert Fig10Store(path).load().payloads == {}

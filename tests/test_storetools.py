@@ -213,17 +213,17 @@ class TestGridCoverage:
 
 class TestCompact:
     def test_drops_superseded_and_torn_tail(self, sweep_store):
-        before = ShardStore(sweep_store).load()
+        before = ShardStore(sweep_store).load().payloads
         _duplicate_last_cell(sweep_store)
         with open(sweep_store, "a") as handle:
             handle.write('{"kind": "cell", "error_coun')
         stats = compact(sweep_store)
         assert stats.superseded == 1
         assert stats.torn_tail is True
-        after = ShardStore(sweep_store).load()
-        assert after.cells.keys() == before.cells.keys()
-        for key in before.cells:
-            assert after.cells[key].words == before.cells[key].words
+        after = ShardStore(sweep_store).load().payloads
+        assert after.keys() == before.keys()
+        for key in before:
+            assert after[key].words == before[key].words
         assert summarize(sweep_store).superseded == 0
         assert summarize(sweep_store).torn_tail is False
 
